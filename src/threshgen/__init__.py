@@ -62,7 +62,6 @@ from .sampling import (
     conclusion_quantile,
     empirical_quantile,
     exception_rate,
-    kernel_backend,
     sample_uniform,
     scaling_verdict,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "from_zplus",
     "indicator",
     "is_feasible",
-    "kernel_backend",
     "load_defaults",
     "load_kb",
     "max_violation",

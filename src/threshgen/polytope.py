@@ -27,6 +27,7 @@ signature at 8 names (256 coordinates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,24 +54,20 @@ class ParameterAssignment:
     """Slacks and scales fixing one concrete polytope for a knowledge base.
 
     psi holds one positive slack per rule (in knowledge-base order), delta
-    is the exception scale in (0,1), query_psi is the slack granted to a
-    conclusion being checked, and eta in (0,1) is the mass of models a
-    conclusion is allowed to fail on (quantile level 1 - eta).
+    is the exception scale in (0,1), and eta in (0,1) is the mass of models
+    a conclusion is allowed to fail on (quantile level 1 - eta).
     """
 
     psi: tuple[float, ...]
     delta: float
-    query_psi: float = 1.0
     eta: float = 0.1
 
     def __post_init__(self):
         object.__setattr__(self, "psi", tuple(float(p) for p in self.psi))
-        if any(p <= 0 for p in self.psi):
-            raise ValueError("every psi must be strictly positive")
+        if not all(0 < p < math.inf for p in self.psi):
+            raise ValueError("every psi must be finite and strictly positive")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.query_psi <= 0:
-            raise ValueError("query_psi must be strictly positive")
         if not 0 < self.eta < 1:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta!r}")
 

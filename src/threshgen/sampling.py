@@ -20,19 +20,15 @@ n times, flagged degenerate; width-zero polytopes with extent in some
 direction would collapse the same way, but only arise from exact
 parameter coincidences.
 
-The per-step kernel exists twice: a Cython extension (threshgen._hitrun)
-and a pure-numpy fallback (threshgen._hitrun_py) selected at import.
-Set THRESHGEN_BACKEND=pure or =compiled to force one; the default "auto"
-prefers the extension. Both consume identical pre-drawn random blocks, so
-a chain is reproducible bit-for-bit under a fixed backend and seed (a
-longer run extends a shorter one exactly), and the two backends follow
-the same trajectory up to floating-point rounding order.
+The walk draws its normals and uniforms in whole blocks of 4096 steps,
+so the randomness feeding each step depends on the seed alone: a chain is
+reproducible bit-for-bit for a fixed seed, and a longer run extends a
+shorter one exactly.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -49,10 +45,7 @@ from .polytope import (
     PolytopeSystem,
     build_polytope,
     indicator,
-    is_feasible,
 )
-
-_BACKEND_ENV = "THRESHGEN_BACKEND"
 
 # Slack levels applied to every rule's psi when probing a verdict; the
 # first entry is the one whose fitted exponent gets reported.
@@ -64,34 +57,10 @@ SUPPORT_MARGIN = 0.3
 REFUTE_MARGIN = 0.7
 
 _BLOCK = 4096
+# Steps whose chord directions are projected onto the rows in one matmul;
+# 512 keeps that (chunk, rows) array near 1 MB at dimension 256.
+_CHUNK = 512
 _DEGENERATE_RADIUS = 1e-12
-
-
-def _load_kernel():
-    choice = os.environ.get(_BACKEND_ENV, "auto")
-    if choice not in ("auto", "compiled", "pure"):
-        raise ValueError(
-            f"{_BACKEND_ENV} must be auto, compiled, or pure; got {choice!r}"
-        )
-    if choice in ("auto", "compiled"):
-        try:
-            from . import _hitrun
-
-            return _hitrun, "compiled"
-        except ImportError:
-            if choice == "compiled":
-                raise
-    from . import _hitrun_py
-
-    return _hitrun_py, "pure"
-
-
-_KERNEL, _BACKEND_NAME = _load_kernel()
-
-
-def kernel_backend() -> str:
-    """Which step kernel is active: 'compiled' or 'pure'."""
-    return _BACKEND_NAME
 
 
 @dataclass(eq=False)
@@ -210,6 +179,53 @@ def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
     return result.x[:q], float(result.x[q])
 
 
+def _walk(
+    rows: np.ndarray,
+    rhs: np.ndarray,
+    y: np.ndarray,
+    normals: np.ndarray,
+    uniforms: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Run len(uniforms) hit-and-run steps from y inside rows @ y <= rhs.
+
+    Step s moves along normals[s]: the chord through the current point is
+    cut by every constraint row, and uniforms[s] picks the next point on
+    it. A uniform point of a chord does not depend on the direction's
+    length, so the normals are used unnormalized. A numerically empty
+    chord (hi < lo) keeps the walk in place rather than stepping outside.
+    Every visited point is written to out and y ends at the last one.
+
+    normals may hold more rows than steps are taken: the chord directions
+    are projected in whole chunks, so a partial block walks the same
+    arithmetic as the start of a full one.
+    """
+    steps = len(uniforms)
+    moves = np.zeros(steps)
+    slack = rhs - rows @ y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, steps, _CHUNK):
+            along = normals[start : start + _CHUNK] @ rows.T
+            rising = along > 0.0
+            falling = along < 0.0
+            for s in range(min(_CHUNK, steps - start)):
+                ratio = slack / along[s]
+                hi = ratio[rising[s]].min(initial=np.inf)
+                lo = ratio[falling[s]].max(initial=-np.inf)
+                # A bounded polytope yields finite chords; the guard keeps
+                # a pathological direction from poisoning the walk.
+                if -np.inf < lo <= hi < np.inf:
+                    t = lo + uniforms[start + s] * (hi - lo)
+                    slack -= t * along[s]
+                    moves[start + s] = t
+    # Adding y to the first row before the running sum keeps the additions
+    # in walk order.
+    np.multiply(moves[:, None], normals[:steps], out=out)
+    out[0] += y
+    np.cumsum(out, axis=0, out=out)
+    y[:] = out[-1]
+
+
 def sample_uniform(
     system: PolytopeSystem, n: int, burn_in: int = 1000, seed: int = 0
 ) -> UniformSample:
@@ -219,7 +235,7 @@ def sample_uniform(
     direction, intersect the polytope with the line through the current
     point, and jump to a uniform point of that chord. The first burn_in
     points are discarded, then every step is recorded. Deterministic for
-    a given seed (and kernel backend).
+    a given seed.
 
     Raises InfeasiblePolytopeError on an empty polytope. A polytope with
     a single point (radius 0) yields that point n times with
@@ -242,7 +258,7 @@ def sample_uniform(
         return UniformSample(points=points, degenerate=True)
     rng = np.random.default_rng(seed)
     q = space.basis.shape[1]
-    y = np.ascontiguousarray(center)
+    y = center
     block_out = np.empty((_BLOCK, q))
     total = burn_in + n
     done = 0
@@ -253,9 +269,7 @@ def sample_uniform(
         # longer run with the same seed extends a shorter one exactly.
         normals = rng.standard_normal((_BLOCK, q))
         uniforms = rng.random(_BLOCK)
-        _KERNEL.step_block(
-            space.rows, space.rhs, y, normals[:take], uniforms[:take], block_out[:take]
-        )
+        _walk(space.rows, space.rhs, y, normals, uniforms[:take], block_out[:take])
         first_wanted = max(done, burn_in)
         if done + take > first_wanted:
             segment = block_out[first_wanted - done : take]
@@ -384,16 +398,15 @@ def scaling_verdict(
         for delta in grid:
             point_params = replace(scaled, delta=delta)
             system = build_polytope(kb, point_params)
-            if not is_feasible(system):
+            try:
+                sample = sample_uniform(system, n, burn_in, int(seeds[at]))
+            except InfeasiblePolytopeError as err:
                 raise InfeasiblePolytopeError(
                     f"polytope is empty at delta={delta} (psi scale {scale});"
                     " the scaling fit is undefined"
-                )
-            row.append(
-                conclusion_quantile(
-                    kb, point_params, query, n, burn_in, int(seeds[at])
-                )
-            )
+                ) from err
+            rates = exception_rate(sample.points, query.antecedent, query.consequent)
+            row.append(empirical_quantile(rates, params.eta))
             at += 1
         quantiles.append(tuple(row))
         exponent = _fit_exponent(np.array(grid), np.array(row))

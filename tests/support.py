@@ -47,6 +47,32 @@ def batch_mean_se(values, batches=100):
     return means.std(ddof=1) / np.sqrt(batches)
 
 
+def reference_walk(rows, rhs, y, normals, uniforms, out):
+    """Straight-line hit-and-run, one step at a time, as the reference for
+    the sampler's walk kernel.
+
+    Each step normalizes its normal draw, cuts the chord through y along
+    it with every constraint row (slack recomputed from scratch), and lets
+    the uniform draw pick the next point; a numerically empty chord keeps
+    the walk in place. Every visited point goes to out; y is updated in
+    place.
+    """
+    for step in range(len(uniforms)):
+        direction = normals[step]
+        norm = np.sqrt(direction @ direction)
+        if norm > 0.0:
+            unit = direction / norm
+            along = rows @ unit
+            slack = rhs - rows @ y
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bounds = slack / along
+            hi = np.min(bounds[along > 0.0], initial=np.inf)
+            lo = np.max(bounds[along < 0.0], initial=-np.inf)
+            if np.isfinite(lo) and np.isfinite(hi) and hi >= lo:
+                y += (lo + uniforms[step] * (hi - lo)) * unit
+        out[step] = y
+
+
 def eval_tree(node, assignment):
     """Truth of a display tree under {name: bool}; independent of masks."""
     if isinstance(node, tg.Proposition):

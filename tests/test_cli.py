@@ -344,6 +344,12 @@ class TestValidate:
         assert main(base + ["--psi", "1,2,3"]) == 1
         assert "psi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("psi", ["nan", "inf"])
+    def test_non_finite_psi_rejected(self, kb_file, capsys, psi):
+        argv = ["validate", "--kb", kb_file, "--psi", psi, "t => a | b @ 2"]
+        assert main(argv) == 1
+        assert "psi" in capsys.readouterr().err
+
     def test_malformed_grid(self, kb_file, capsys):
         assert (
             main(

@@ -16,7 +16,6 @@ def rule(sig, antecedent, consequent, k):
 class TestParameterAssignment:
     def test_defaults(self):
         p = tg.ParameterAssignment(psi=(1.0,), delta=0.1)
-        assert p.query_psi == 1.0
         assert p.eta == 0.1
 
     def test_validation(self):
@@ -24,12 +23,14 @@ class TestParameterAssignment:
             tg.ParameterAssignment(psi=(0.0,), delta=0.1)
         with pytest.raises(ValueError):
             tg.ParameterAssignment(psi=(-1.0,), delta=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            tg.ParameterAssignment(psi=(float("nan"),), delta=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            tg.ParameterAssignment(psi=(1.0, float("inf")), delta=0.1)
         with pytest.raises(ValueError):
             tg.ParameterAssignment(psi=(), delta=0.0)
         with pytest.raises(ValueError):
             tg.ParameterAssignment(psi=(), delta=1.0)
-        with pytest.raises(ValueError):
-            tg.ParameterAssignment(psi=(), delta=0.5, query_psi=0.0)
         with pytest.raises(ValueError):
             tg.ParameterAssignment(psi=(), delta=0.5, eta=1.0)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import threshgen as tg
-from support import random_kb, random_proposition
+from support import random_kb, random_proposition, reference_walk
+from threshgen.sampling import _walk
 
 A1 = tg.Signature(("a",))
 AB = tg.Signature(("a", "b"))
@@ -32,10 +33,63 @@ def batch_mean_se(values, batches=100):
     return means.std(ddof=1) / math.sqrt(batches)
 
 
-class TestSampleUniform:
-    def test_backend_reports_a_known_kernel(self):
-        assert tg.kernel_backend() in ("compiled", "pure")
+def walk_inputs(seed, steps=256, dim=3):
+    """A feasible random walk problem: a box with a diagonal cut."""
+    rng = np.random.default_rng(seed)
+    rows = np.vstack([np.eye(dim), -np.eye(dim), np.ones((1, dim))])
+    rhs = np.concatenate([np.ones(2 * dim), [1.5]])
+    y = np.zeros(dim)
+    normals = rng.standard_normal((steps, dim))
+    uniforms = rng.random(steps)
+    return rows, rhs, y, normals, uniforms
 
+
+def run_walk(walk, seed, steps=256, dim=3):
+    rows, rhs, y, normals, uniforms = walk_inputs(seed, steps, dim)
+    out = np.empty((steps, dim))
+    walk(rows, rhs, y, normals, uniforms, out)
+    return y, out
+
+
+class TestWalkKernel:
+    # Hit-and-run is chaotic: rounding differences between the kernel and
+    # the step-at-a-time reference compound exponentially along a
+    # trajectory, so trajectories are compared only over short horizons;
+    # beyond that the kernel is checked as a sampler.
+
+    def test_short_walks_match_reference(self):
+        for seed in range(8):
+            y_ref, out_ref = run_walk(reference_walk, seed, steps=12)
+            y_new, out_new = run_walk(_walk, seed, steps=12)
+            assert np.allclose(out_new, out_ref, atol=1e-9, rtol=0.0)
+            assert np.allclose(y_new, y_ref, atol=1e-9, rtol=0.0)
+
+    def test_short_walks_match_reference_in_higher_dimension(self):
+        _, out_ref = run_walk(reference_walk, 11, steps=10, dim=12)
+        _, out_new = run_walk(_walk, 11, steps=10, dim=12)
+        assert np.allclose(out_new, out_ref, atol=1e-9, rtol=0.0)
+
+    def test_stays_inside(self):
+        rows, rhs, y, normals, uniforms = walk_inputs(1, steps=1200)
+        out = np.empty((1200, 3))
+        _walk(rows, rhs, y, normals, uniforms, out)
+        assert np.all(rows @ out.T <= rhs[:, None] + 1e-12)
+
+    def test_final_state_is_last_row(self):
+        y, out = run_walk(_walk, 2)
+        assert np.array_equal(y, out[-1])
+
+    def test_single_name_distribution(self):
+        _, system = simple_system(delta=0.1)
+        n = 20000
+        sample = tg.sample_uniform(system, n, burn_in=500, seed=21)
+        mass = sample.points[:, 0]  # pi(~a), uniform on [0, 0.1]
+        assert tg.max_violation(system, sample.points) <= 1e-9
+        assert abs(mass.mean() - 0.05) <= 3 * 0.1 / math.sqrt(12 * n)
+        assert abs(tg.empirical_quantile(mass, 0.1) - 0.09) <= 0.005
+
+
+class TestSampleUniform:
     def test_reproducible_and_seed_sensitive(self):
         _, system = simple_system()
         s1 = tg.sample_uniform(system, 500, burn_in=100, seed=42)
