@@ -17,15 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from .depth import (
-    Depth,
-    DepthProfile,
-    Generalization,
-    compile_kb,
-    depth_text,
-)
+from .depth import DepthProfile, compile_kb, depth_text
 from .logic import Proposition, parse
 from .polytope import NumericalError, ParameterAssignment
 from .rulefile import (
@@ -38,38 +31,6 @@ from .rulefile import (
 )
 from .sampling import scaling_verdict
 from .zplus import from_zplus, to_zplus
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """One entailment decision, ready for text or kv serialization."""
-
-    gamma: Proposition
-    zeta: Proposition
-    threshold: Depth
-    verdict: bool
-    depth_antecedent: Depth
-    depth_exception: Depth
-    vacuous: bool
-
-    def __post_init__(self):
-        expected = self.depth_exception >= self.depth_antecedent + self.threshold
-        if self.verdict != expected:
-            raise ValueError("verdict contradicts the recorded depths")
-
-    @classmethod
-    def evaluate(cls, profile: DepthProfile, query: Generalization) -> "QueryRecord":
-        depth_exception = profile.depth_of(query.exception())
-        depth_antecedent = profile.depth_of(query.antecedent)
-        return cls(
-            gamma=query.antecedent,
-            zeta=query.consequent,
-            threshold=query.threshold,
-            verdict=depth_exception >= depth_antecedent + query.threshold,
-            depth_antecedent=depth_antecedent,
-            depth_exception=depth_exception,
-            vacuous=query.antecedent.is_false,
-        )
 
 
 def _kv_bool(value: bool) -> str:
@@ -135,30 +96,32 @@ def cmd_query(args) -> int:
     kb = load_kb(text, extra_names=query_names(args.query))
     profile = compile_kb(kb)
     query = parse_query(args.query, kb.signature)
-    record = QueryRecord.evaluate(profile, query)
+    verdict = profile.entails_in_probability(query)
+    depth_exception = profile.depth_of(query.exception())
+    depth_antecedent = profile.depth_of(query.antecedent)
     if args.format == "kv":
         print(
             _kv_block(
                 [
-                    ("verdict", _kv_bool(record.verdict)),
-                    ("d_exception", depth_text(record.depth_exception)),
-                    ("d_antecedent", depth_text(record.depth_antecedent)),
-                    ("threshold", depth_text(record.threshold)),
+                    ("verdict", _kv_bool(verdict)),
+                    ("d_exception", depth_text(depth_exception)),
+                    ("d_antecedent", depth_text(depth_antecedent)),
+                    ("threshold", depth_text(query.threshold)),
                     ("D", profile.fixpoint),
                     ("consistent", _kv_bool(profile.is_consistent())),
-                    ("vacuous", _kv_bool(record.vacuous)),
+                    ("vacuous", _kv_bool(query.antecedent.is_false)),
                 ]
             ),
             end="",
         )
     else:
         print(f"query: {query.text()}")
-        print("entailed" if record.verdict else "not entailed")
-        print(f"d_exception = {depth_text(record.depth_exception)}")
-        print(f"d_antecedent = {depth_text(record.depth_antecedent)}")
-        if record.vacuous:
+        print("entailed" if verdict else "not entailed")
+        print(f"d_exception = {depth_text(depth_exception)}")
+        print(f"d_antecedent = {depth_text(depth_antecedent)}")
+        if query.antecedent.is_false:
             print("vacuous: the antecedent is impossible")
-    return 0 if record.verdict else 3
+    return 0 if verdict else 3
 
 
 def cmd_rarity(args) -> int:

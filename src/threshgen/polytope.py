@@ -16,9 +16,13 @@ per finite rule, plus coordinatewise non-negativity. Models where the
 antecedent has probability 0 satisfy the row trivially, which matches
 reading the conditional probability as 1 there.
 
-Feasibility of the polytope is decided by a phase-1 linear program. The
-sampling machinery lives in threshgen.sampling; this module only builds
-and tests the geometry.
+The module also owns the one decision of whether the polytope is empty.
+Coordinates pinned to zero (by @ inf rules, or by inequality rows that can
+only be satisfied at zero) are eliminated, the normalization equality is
+removed with an orthonormal basis of its null space, and a single
+Chebyshev-center linear program on the reduced rows either places the
+largest inscribed ball or proves the system empty. is_feasible asks that
+question, and threshgen.sampling starts its walk from the same center.
 
 Exact vectors over all 2**r atoms stop being reasonable well before the
 24-name cap of the symbolic side, so model-semantics operations cap the
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .depth import INFINITY, KnowledgeBase
@@ -134,35 +139,132 @@ def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSy
     )
 
 
+@dataclass(eq=False)
+class _Walkspace:
+    """The polytope with pinned coordinates removed and the normalization
+    equality eliminated: its points are x = origin + basis@y over the kept
+    coordinates, subject to rows @ y <= rhs. center and radius describe
+    the largest ball inside; with one kept coordinate the polytope is a
+    single point, so center is empty and radius is 0."""
+
+    keep: np.ndarray
+    origin: np.ndarray
+    basis: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
+    center: np.ndarray
+    radius: float
+
+
+def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
+    """Boolean mask of coordinates forced to zero, closed under the rule
+    that an inequality row with no negative coefficient left pins every
+    coordinate it still touches positively (row @ x <= 0 with x >= 0)."""
+    pinned = np.zeros(system.dimension, dtype=bool)
+    for row, bound in zip(system.eq_rows, system.eq_rhs):
+        if bound == 0.0:
+            pinned |= row > 0.0
+    changed = True
+    while changed:
+        changed = False
+        for row, bound in zip(system.ineq_rows, system.ineq_rhs):
+            if bound > 0.0:
+                continue
+            live = ~pinned
+            positive = live & (row > 0.0)
+            if positive.any() and not (live & (row < 0.0)).any():
+                pinned |= positive
+                changed = True
+    return pinned
+
+
+def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Center and radius of the largest ball inside rows @ y <= rhs."""
+    q = rows.shape[1]
+    norms = np.linalg.norm(rows, axis=1)
+    objective = np.zeros(q + 1)
+    objective[q] = -1.0
+    # Presolve is disabled: HiGHS's presolver can misdeclare thin systems
+    # (rows with delta**k coefficients near its drop tolerances, feasible
+    # only at a degenerate vertex) infeasible. The systems are small, so
+    # solving them outright is cheap and gives the reliable answer. The
+    # simplex solver also stops, rarely, with an unknown status (status 4)
+    # on small empty systems; the interior-point solver then decides.
+    for method in ("highs", "highs-ipm"):
+        result = linprog(
+            objective,
+            A_ub=np.hstack([rows, norms[:, None]]),
+            b_ub=rhs,
+            bounds=[(None, None)] * q + [(0, None)],
+            method=method,
+            options={
+                "presolve": False,
+                "primal_feasibility_tolerance": FEASIBILITY_TOLERANCE,
+            },
+        )
+        if result.status != 4:
+            break
+    if result.status == 2:
+        raise InfeasiblePolytopeError("polytope is empty")
+    if result.status != 0:
+        raise NumericalError(f"Chebyshev-center LP failed: {result.message}")
+    return result.x[:q], float(result.x[q])
+
+
+def _walkspace(system: PolytopeSystem) -> _Walkspace:
+    """Reduce the system to its affine hull and find its Chebyshev center,
+    raising InfeasiblePolytopeError when no model satisfies every
+    constraint."""
+    keep = np.flatnonzero(~_pinned_coordinates(system))
+    if keep.size == 0:
+        raise InfeasiblePolytopeError(
+            "every coordinate is forced to zero, so no model normalizes"
+        )
+    count = keep.size
+    origin = np.full(count, 1.0 / count)
+    basis = null_space(np.ones((1, count)))
+    rows = []
+    rhs = []
+    for row, bound in zip(system.ineq_rows, system.ineq_rhs):
+        kept = row[keep]
+        if not (kept > 0.0).any():
+            continue  # satisfied by any non-negative point
+        projected = kept @ basis
+        slack = bound - kept @ origin
+        if np.linalg.norm(projected) < 1e-13:
+            # Row is constant on the affine hull; either vacuous or empty.
+            if slack < -FEASIBILITY_TOLERANCE:
+                raise InfeasiblePolytopeError(
+                    "a rule row excludes the entire affine hull"
+                )
+            continue
+        rows.append(projected)
+        rhs.append(slack)
+    # Non-negativity of the kept coordinates, in walk coordinates.
+    rows.extend(-basis)
+    rhs.extend(origin)
+    rows = np.ascontiguousarray(rows, dtype=float)
+    rhs = np.ascontiguousarray(rhs, dtype=float)
+    if count == 1:
+        # One free coordinate carrying all mass; every row was screened
+        # above, so the polytope is that single point.
+        center, radius = np.zeros(0), 0.0
+    else:
+        center, radius = _chebyshev_center(rows, rhs)
+    return _Walkspace(keep, origin, basis, rows, rhs, center, radius)
+
+
 def is_feasible(system: PolytopeSystem) -> bool:
-    """Phase-1 test: does any model satisfy every constraint?
+    """Does any model satisfy every constraint?
 
     Infeasibility is a result; a solver breakdown is a NumericalError so
     the two are never conflated.
     """
-    have_ineq = system.ineq_rows.size > 0
-    # Presolve is disabled: HiGHS's presolver can misdeclare thin systems
-    # (rows with delta**k coefficients near its drop tolerances, feasible
-    # only at a degenerate vertex) infeasible. The systems are small, so
-    # solving them outright is cheap and gives the reliable answer.
-    result = linprog(
-        c=np.zeros(system.dimension),
-        A_ub=system.ineq_rows if have_ineq else None,
-        b_ub=system.ineq_rhs if have_ineq else None,
-        A_eq=system.eq_rows,
-        b_eq=system.eq_rhs,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "presolve": False,
-            "primal_feasibility_tolerance": FEASIBILITY_TOLERANCE,
-        },
-    )
-    if result.status == 0:
-        return True
-    if result.status == 2:
+    try:
+        _walkspace(system)
+    except InfeasiblePolytopeError:
         return False
-    raise NumericalError(f"feasibility LP failed: {result.message}")
+    return True
 
 
 def max_violation(system: PolytopeSystem, points: np.ndarray) -> float:

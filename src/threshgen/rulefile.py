@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .depth import INFINITY, Depth, Generalization, KnowledgeBase
 from .logic import ParseError, Proposition, Signature, parse, scan_names
-from .zplus import ZPlusRule
+from .zplus import ZPlusRule, _toplevel_arrow
 
 
 class RuleFileError(ValueError):
@@ -82,28 +82,6 @@ def _split_at_sign(rest: str, lineno: int) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _default_arrow_position(line: str) -> int:
-    """Offset of the rule arrow in a default line, or -1.
-
-    Skips arrows inside parentheses and the tail of '<->'.
-    """
-    depth = 0
-    for i in range(len(line) - 1):
-        ch = line[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif (
-            ch == "-"
-            and line[i + 1] == ">"
-            and depth == 0
-            and (i == 0 or line[i - 1] != "<")
-        ):
-            return i
-    return -1
-
-
 def _numbered_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -152,7 +130,7 @@ def load_defaults(text: str, extra_names=()) -> tuple[list[ZPlusRule], Signature
     signature = file_signature(text, extra_names)
     rules = []
     for lineno, line in _numbered_lines(text):
-        arrow = _default_arrow_position(line)
+        arrow = _toplevel_arrow(line)
         if arrow < 0:
             raise RuleFileError(
                 f"line {lineno}: expected '->' between propositions"

@@ -10,15 +10,12 @@ If the knowledge base really does support the query at threshold j, the
 (1 - eta)-quantile must scale like delta**j, so the fitted log-log slope
 across a grid of deltas supports or refutes j.
 
-Sampling runs inside the affine hull of the polytope: coordinates pinned
-to zero (by @ inf rules, or by inequality rows that can only be satisfied
-at zero) are eliminated up front, the remaining normalization equality is
-removed with an orthonormal basis of its null space, and the walk happens
-in those reduced coordinates starting from a Chebyshev center. If the
-reduced polytope has radius zero the single (center) point is returned
-n times, flagged degenerate; width-zero polytopes with extent in some
-direction would collapse the same way, but only arise from exact
-parameter coincidences.
+Sampling runs inside the affine hull of the polytope, in the reduced
+coordinates threshgen.polytope computes when it decides emptiness, and the
+walk starts from that decision's Chebyshev center. If the reduced polytope
+has radius zero the single (center) point is returned n times, flagged
+degenerate; width-zero polytopes with extent in some direction would
+collapse the same way, but only arise from exact parameter coincidences.
 
 The walk draws its normals and uniforms in whole blocks of 4096 steps,
 so the randomness feeding each step depends on the seed alone: a chain is
@@ -33,16 +30,14 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
 
 from .depth import Depth, Generalization, KnowledgeBase
 from .logic import Proposition
 from .polytope import (
     InfeasiblePolytopeError,
-    NumericalError,
     ParameterAssignment,
     PolytopeSystem,
+    _walkspace,
     build_polytope,
     indicator,
 )
@@ -79,104 +74,6 @@ class UniformSample:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.points)
-
-
-@dataclass(eq=False)
-class _Walkspace:
-    """The polytope with pinned coordinates removed and the normalization
-    equality eliminated; the walk lives in the y of x = origin + basis@y
-    over the kept coordinates, subject to rows @ y <= rhs."""
-
-    keep: np.ndarray
-    origin: np.ndarray
-    basis: np.ndarray
-    rows: np.ndarray
-    rhs: np.ndarray
-
-
-def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
-    """Boolean mask of coordinates forced to zero, closed under the rule
-    that an inequality row with no negative coefficient left pins every
-    coordinate it still touches positively (row @ x <= 0 with x >= 0)."""
-    pinned = np.zeros(system.dimension, dtype=bool)
-    for row, bound in zip(system.eq_rows, system.eq_rhs):
-        if bound == 0.0:
-            pinned |= row > 0.0
-    changed = True
-    while changed:
-        changed = False
-        for row, bound in zip(system.ineq_rows, system.ineq_rhs):
-            if bound > 0.0:
-                continue
-            live = ~pinned
-            positive = live & (row > 0.0)
-            if positive.any() and not (live & (row < 0.0)).any():
-                pinned |= positive
-                changed = True
-    return pinned
-
-
-def _reduce(system: PolytopeSystem) -> _Walkspace:
-    pinned = _pinned_coordinates(system)
-    keep = np.flatnonzero(~pinned)
-    if keep.size == 0:
-        raise InfeasiblePolytopeError(
-            "every coordinate is forced to zero, so no model normalizes"
-        )
-    count = keep.size
-    origin = np.full(count, 1.0 / count)
-    basis = null_space(np.ones((1, count)))
-    rows = []
-    rhs = []
-    for row, bound in zip(system.ineq_rows, system.ineq_rhs):
-        kept = row[keep]
-        if not (kept > 0.0).any():
-            continue  # satisfied by any non-negative point
-        projected = kept @ basis
-        slack = bound - kept @ origin
-        if np.linalg.norm(projected) < 1e-13:
-            # Row is constant on the affine hull; either vacuous or empty.
-            if slack < -1e-9:
-                raise InfeasiblePolytopeError(
-                    "a rule row excludes the entire affine hull"
-                )
-            continue
-        rows.append(projected)
-        rhs.append(slack)
-    # Non-negativity of the kept coordinates, in walk coordinates.
-    rows.extend(-basis)
-    rhs.extend(origin)
-    return _Walkspace(
-        keep=keep,
-        origin=origin,
-        basis=basis,
-        rows=np.ascontiguousarray(rows, dtype=float),
-        rhs=np.ascontiguousarray(rhs, dtype=float),
-    )
-
-
-def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center and radius of the largest ball inside rows @ y <= rhs."""
-    q = rows.shape[1]
-    norms = np.linalg.norm(rows, axis=1)
-    objective = np.zeros(q + 1)
-    objective[q] = -1.0
-    # Presolve off for the same reason as polytope.is_feasible: the HiGHS
-    # presolver can misjudge thin systems whose only points are degenerate
-    # vertices, and these LPs are small enough to solve outright.
-    result = linprog(
-        objective,
-        A_ub=np.hstack([rows, norms[:, None]]),
-        b_ub=rhs,
-        bounds=[(None, None)] * q + [(0, None)],
-        method="highs",
-        options={"presolve": False},
-    )
-    if result.status == 2:
-        raise InfeasiblePolytopeError("polytope is empty")
-    if result.status != 0:
-        raise NumericalError(f"interior-point LP failed: {result.message}")
-    return result.x[:q], float(result.x[q])
 
 
 def _walk(
@@ -245,20 +142,14 @@ def sample_uniform(
         raise ValueError("n must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be non-negative")
-    space = _reduce(system)
+    space = _walkspace(system)
     points = np.zeros((n, system.dimension))
-    if space.keep.size == 1:
-        # One free coordinate carrying all mass; constraints were screened
-        # during reduction.
-        points[:, space.keep[0]] = 1.0
-        return UniformSample(points=points, degenerate=True)
-    center, radius = _chebyshev_center(space.rows, space.rhs)
-    if radius <= _DEGENERATE_RADIUS:
-        points[:, space.keep] = space.origin + space.basis @ center
+    if space.radius <= _DEGENERATE_RADIUS:
+        points[:, space.keep] = space.origin + space.basis @ space.center
         return UniformSample(points=points, degenerate=True)
     rng = np.random.default_rng(seed)
     q = space.basis.shape[1]
-    y = center
+    y = space.center
     block_out = np.empty((_BLOCK, q))
     total = burn_in + n
     done = 0
@@ -397,16 +288,16 @@ def scaling_verdict(
         row = []
         for delta in grid:
             point_params = replace(scaled, delta=delta)
-            system = build_polytope(kb, point_params)
             try:
-                sample = sample_uniform(system, n, burn_in, int(seeds[at]))
+                quantile = conclusion_quantile(
+                    kb, point_params, query, n, burn_in, int(seeds[at])
+                )
             except InfeasiblePolytopeError as err:
                 raise InfeasiblePolytopeError(
                     f"polytope is empty at delta={delta} (psi scale {scale});"
                     " the scaling fit is undefined"
                 ) from err
-            rates = exception_rate(sample.points, query.antecedent, query.consequent)
-            row.append(empirical_quantile(rates, params.eta))
+            row.append(quantile)
             at += 1
         quantiles.append(tuple(row))
         exponent = _fit_exponent(np.array(grid), np.array(row))

@@ -49,8 +49,9 @@ class SideConditionError(ValueError):
         super().__init__(message)
 
 
-def _has_toplevel_arrow(text: str) -> bool:
-    """Is there a '->' outside parentheses that is not the tail of '<->'?"""
+def _toplevel_arrow(text: str) -> int:
+    """Offset of the first '->' outside parentheses that is not the tail
+    of '<->', or -1."""
     depth = 0
     for i, ch in enumerate(text[:-1]):
         if ch == "(":
@@ -63,8 +64,8 @@ def _has_toplevel_arrow(text: str) -> bool:
             and depth == 0
             and (i == 0 or text[i - 1] != "<")
         ):
-            return True
-    return False
+            return i
+    return -1
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class ZPlusRule:
 
     def text(self) -> str:
         head = self.antecedent.text()
-        if _has_toplevel_arrow(head):
+        if _toplevel_arrow(head) >= 0:
             # The file format splits a default at its first bare '->', so
             # an antecedent using conditional sugar must be parenthesized
             # to survive a round trip.

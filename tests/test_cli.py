@@ -5,12 +5,10 @@ import math
 import pytest
 
 import threshgen as tg
-from threshgen.cli import QueryRecord, main, parse_kv
+from threshgen.cli import main, parse_kv
 
 TWO_RULE_TEXT = "t => a @ 1\n~a => b @ 1\n"
 CONTRADICTION_TEXT = "t => a @ 1\nt => ~a @ 1\n"
-
-AB = tg.Signature(("a", "b"))
 
 
 @pytest.fixture
@@ -97,32 +95,13 @@ class TestQuery:
         main(["query", "--kb", kb_file, "--format", "kv", "t => a | b @ 2"])
         record = parse_kv(capsys.readouterr().out)
         kb = tg.load_kb(TWO_RULE_TEXT)
-        rebuilt = QueryRecord(
-            gamma=tg.parse("t", kb.signature),
-            zeta=tg.parse("a | b", kb.signature),
-            threshold=read_depth(record["threshold"]),
-            verdict=record["verdict"] == "true",
-            depth_antecedent=read_depth(record["d_antecedent"]),
-            depth_exception=read_depth(record["d_exception"]),
-            vacuous=record["vacuous"] == "true",
-        )
-        fresh = QueryRecord.evaluate(
-            tg.compile_kb(kb),
-            tg.parse_query("t => a | b @ 2", kb.signature),
-        )
-        assert rebuilt == fresh
-
-    def test_record_rejects_contradictory_fields(self):
-        with pytest.raises(ValueError):
-            QueryRecord(
-                gamma=tg.parse("t", AB),
-                zeta=tg.parse("a", AB),
-                threshold=2,
-                verdict=True,
-                depth_antecedent=0,
-                depth_exception=1,
-                vacuous=False,
-            )
+        profile = tg.compile_kb(kb)
+        query = tg.parse_query("t => a | b @ 2", kb.signature)
+        assert read_depth(record["threshold"]) == query.threshold
+        assert read_depth(record["d_antecedent"]) == profile.depth_of(query.antecedent)
+        assert read_depth(record["d_exception"]) == profile.depth_of(query.exception())
+        assert (record["verdict"] == "true") == profile.entails_in_probability(query)
+        assert (record["vacuous"] == "true") == query.antecedent.is_false
 
     def test_vacuous_query(self, kb_file, capsys):
         assert main(["query", "--kb", kb_file, "--format", "kv", "false => a @ 1"]) == 0

@@ -145,6 +145,43 @@ class TestFeasibility:
         for delta in (0.1, 0.05, 0.025, 0.0125, 1e-3, 1e-4):
             assert tg.is_feasible(tg.build_polytope(kb, self.params(3, delta)))
 
+    def test_boundary_decided_once_for_feasibility_and_sampling(self):
+        # pi(~a) <= delta and pi(a) <= delta leave a model only at
+        # delta >= 1/2. Just below, the polytope is empty by more than the
+        # feasibility tolerance, and the sampler must not return its
+        # near-miss as a degenerate sample.
+        kb = tg.KnowledgeBase(
+            A1, (rule(A1, "true", "a", 1), rule(A1, "true", "~a", 1))
+        )
+        below = tg.build_polytope(kb, self.params(2, 0.5 - 1e-9))
+        assert not tg.is_feasible(below)
+        with pytest.raises(tg.InfeasiblePolytopeError):
+            tg.sample_uniform(below, 50, burn_in=10)
+        at = tg.build_polytope(kb, self.params(2, 0.5))
+        assert tg.is_feasible(at)
+        sample = tg.sample_uniform(at, 50, burn_in=10)
+        assert tg.max_violation(at, sample.points) <= 1e-9
+
+    def test_solver_breakdown_on_empty_system_still_decides(self):
+        # HiGHS's simplex stops on this empty system with an unknown status
+        # instead of proving it infeasible; the decision must still come
+        # out as "empty", not as a NumericalError.
+        text = (
+            "(a & ~b & ~c) | (a & b & ~c) | (a & ~b & c) | (~a & b & c)"
+            " | (a & b & c) => (a & b & ~c) | (a & ~b & c) @ 3\n"
+            "(a & ~b & ~c) | (~a & b & ~c) | (a & b & ~c) | (~a & b & c)"
+            " | (a & b & c) => (a & ~b & ~c) | (a & ~b & c) @ 3\n"
+            "true => (~a & ~b & ~c) | (a & ~b & ~c) | (a & b & c) @ 3\n"
+            "(~a & ~b & ~c) | (a & b & ~c) | (a & ~b & c) | (~a & b & c)"
+            " => (~a & b & ~c) | (a & b & ~c) @ 3\n"
+        )
+        kb = tg.load_kb(text)
+        params = tg.ParameterAssignment(psi=(2.0, 0.5, 2.0, 2.0), delta=1e-3)
+        system = tg.build_polytope(kb, params)
+        assert not tg.is_feasible(system)
+        with pytest.raises(tg.InfeasiblePolytopeError):
+            tg.sample_uniform(system, 50, burn_in=10)
+
 
 class TestMaxViolation:
     def test_reports_worst_gap(self):
