@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from .depth import DepthProfile, compile_kb, depth_text
-from .logic import Proposition, parse
+from .logic import parse
 from .polytope import NumericalError, ParameterAssignment
 from .rulefile import (
     format_defaults,
@@ -138,10 +138,7 @@ def cmd_rarity(args) -> int:
 def cmd_depthmap(args) -> int:
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
-    depths = [
-        profile.depth_of(Proposition.minterm(signature, i))
-        for i in range(signature.atom_count)
-    ]
+    depths = profile.atom_depths()
     if args.format == "kv":
         pairs = [("names", ",".join(signature.names))]
         pairs += [(f"atom_{i}", depth_text(d)) for i, d in enumerate(depths)]

@@ -155,6 +155,23 @@ class DepthProfile:
                 return d
         raise StabilizationError("chain[0] is not the true proposition")
 
+    def atom_depths(self) -> list[Depth]:
+        """depth_of of every minterm, indexed by atom.
+
+        Read off the chain instead of asking depth_of 2**r times. Every
+        atom starts at depth 0, since chain[0] is the true proposition;
+        each level below the fixpoint is then walked once, in ascending
+        order so the deepest level an atom lies in is the one that sticks,
+        and finally the atoms of the limit are set to infinity.
+        """
+        depths: list[Depth] = [0] * self.kb.signature.atom_count
+        for d in range(1, self.fixpoint):
+            for i in self.chain[d].atoms():
+                depths[i] = d
+        for i in self.limit.atoms():
+            depths[i] = INFINITY
+        return depths
+
     def degree_of_rarity(self, rho: Proposition) -> Depth:
         """Alias of depth_of: how rare rho is forced to be."""
         return self.depth_of(rho)

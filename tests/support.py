@@ -4,11 +4,15 @@ import numpy as np
 
 import threshgen as tg
 
-NAMES = ("a", "b", "c", "d")
+NAMES = ("a", "b", "c", "d", "e", "g", "h", "i", "j", "k")
 
 
 def random_proposition(rng, signature):
-    mask = int(rng.integers(0, signature.full_mask + 1, dtype=np.int64))
+    if signature.atom_count <= 32:
+        mask = int(rng.integers(0, signature.full_mask + 1, dtype=np.int64))
+    else:
+        # Too wide for an int64 draw: take uniform random bytes instead.
+        mask = int.from_bytes(rng.bytes(signature.atom_count // 8), "little")
     return tg.Proposition(signature, mask)
 
 

@@ -1,6 +1,7 @@
 """Knowledge-base compilation, depth queries, and entailment decisions."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,71 @@ class TestDepthOf:
             ]
             expected = min(atom_depths, default=tg.INFINITY)
             assert profile.depth_of(rho) == expected
+
+
+class TestAtomDepths:
+    def test_matches_per_minterm_depth_of(self):
+        rng = np.random.default_rng(29)
+        seen_inf = False
+        fixpoints = set()
+        for _ in range(60):
+            kb = random_kb(
+                rng, max_names=10, max_rules=6, allow_infinite=True, min_names=5
+            )
+            profile = tg.compile_kb(kb)
+            got = profile.atom_depths()
+            assert np.array_equal(np.array(got, dtype=float), engine_atom_depths(profile))
+            seen_inf |= any(r.threshold == tg.INFINITY for r in kb.rules)
+            fixpoints.add(profile.fixpoint)
+            # The same KB plus a contradictory pair is inconsistent: fixpoint 0
+            # and every atom at depth infinity.
+            k = int(rng.integers(1, 4))
+            a = tg.Proposition.name(kb.signature, "a")
+            top = tg.Proposition.true(kb.signature)
+            bad = tg.KnowledgeBase(
+                kb.signature,
+                kb.rules + (tg.Generalization(top, a, k), tg.Generalization(top, ~a, k)),
+            )
+            profile = tg.compile_kb(bad)
+            assert profile.fixpoint == 0
+            got = profile.atom_depths()
+            assert got == [tg.INFINITY] * kb.signature.atom_count
+            assert np.array_equal(np.array(got, dtype=float), engine_atom_depths(profile))
+        assert seen_inf
+        assert max(fixpoints) >= 2, fixpoints
+
+    def test_matches_brute_force_search(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            kb = random_kb(rng)
+            profile = tg.compile_kb(kb)
+            expected = brute_force_atom_depths(kb, profile.fixpoint)
+            got = np.array(profile.atom_depths(), dtype=float)
+            assert np.array_equal(got, expected), (kb, got, expected)
+
+    def test_worked_values(self):
+        # Atoms of AB in order: ~a & ~b, a & ~b, ~a & b, a & b.
+        assert tg.compile_kb(two_rule_chain_kb()).atom_depths() == [2, 0, 1, 0]
+        hard = tg.KnowledgeBase(AB, (rule(AB, "a", "b", tg.INFINITY),))
+        assert tg.compile_kb(hard).atom_depths() == [0, tg.INFINITY, 0, 0]
+        assert tg.compile_kb(contradictory_kb()).atom_depths() == [tg.INFINITY] * 4
+
+
+class TestSymbolicCap:
+    def test_24_name_kb_loads_compiles_and_answers_within_bound(self):
+        names = [f"x{i}" for i in range(24)]
+        lines = [f"{a} => {b} @ 1\n" for a, b in zip(names, names[1:])]
+        text = "".join(lines) + "x0 => ~x23 @ 2\n"
+        start = time.perf_counter()
+        kb = tg.load_kb(text)
+        profile = tg.compile_kb(kb)
+        own = profile.entails_in_probability(tg.parse_query("x0 => x1 @ 1", kb.signature))
+        free = profile.entails_in_probability(tg.parse_query("t => x0 @ 1", kb.signature))
+        elapsed = time.perf_counter() - start
+        assert kb.signature.size == 24 and kb.size == 24
+        assert profile.is_consistent()
+        assert own and not free
+        assert elapsed < 2.0, f"24-name load, compile and query took {elapsed:.2f} s"
 
 
 class TestEntailment:

@@ -1,5 +1,7 @@
 """Propositions, signatures, and the formula parser."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,19 +20,34 @@ class TestSignature:
         assert ABC.atom_count == 8
 
     def test_name_mask_matches_per_atom_definition(self):
-        sig = tg.Signature(("a", "b", "c", "d", "e"))
-        for j in range(sig.size):
-            expected = 0
-            for atom in range(sig.atom_count):
-                if (atom >> j) & 1:
-                    expected |= 1 << atom
-            assert sig.name_mask(j) == expected
+        for r in range(1, 11):
+            sig = tg.Signature(tuple(f"x{i}" for i in range(r)))
+            for j in range(r):
+                expected = 0
+                for atom in range(sig.atom_count):
+                    if (atom >> j) & 1:
+                        expected |= 1 << atom
+                assert sig.name_mask(j) == expected, (r, j)
+
+    def test_name_mask_range_check(self):
+        for j in (-1, 3):
+            with pytest.raises(tg.SignatureError):
+                ABC.name_mask(j)
+
+    def test_full_mask_for_every_size(self):
+        for r in range(25):
+            sig = tg.Signature(tuple(f"x{i}" for i in range(r)))
+            assert sig.full_mask == (1 << 2**r) - 1, r
 
     def test_large_signature(self):
         names = tuple(f"x{i}" for i in range(24))
         sig = tg.Signature(names)
         assert sig.atom_count == 1 << 24
         assert tg.Proposition.name(sig, "x23").mask == sig.name_mask(23)
+        for j in range(24):
+            mask = sig.name_mask(j)
+            assert mask.bit_count() == 1 << 23, j
+            assert mask | sig.full_mask == sig.full_mask
 
     def test_too_many_names(self):
         with pytest.raises(tg.SignatureError):
@@ -114,7 +131,28 @@ class TestPropositionAlgebra:
 
     def test_atoms_iterates_set_bits(self):
         a = tg.Proposition.name(AB, "a")
-        assert sorted(a.atoms()) == [0b01, 0b11]
+        assert list(a.atoms()) == [0b01, 0b11]
+
+    def test_atoms_matches_per_bit_definition(self):
+        rng = np.random.default_rng(11)
+        for r in range(11):
+            sig = tg.Signature(tuple(f"x{i}" for i in range(r)))
+            props = [tg.Proposition.false(sig), tg.Proposition.true(sig)]
+            props += [random_proposition(rng, sig) for _ in range(5)]
+            props += [tg.Proposition.minterm(sig, sig.atom_count - 1)]
+            for p in props:
+                expected = [i for i in range(sig.atom_count) if (p.mask >> i) & 1]
+                assert list(p.atoms()) == expected, (r, p.mask)
+
+    def test_atoms_half_full_at_20_names_within_bound(self):
+        sig = tg.Signature(tuple(f"x{i}" for i in range(20)))
+        p = tg.Proposition.name(sig, "x0")
+        start = time.perf_counter()
+        atoms = list(p.atoms())
+        elapsed = time.perf_counter() - start
+        assert len(atoms) == 1 << 19
+        assert atoms[:3] == [1, 3, 5] and atoms[-1] == (1 << 20) - 1
+        assert elapsed < 1.0, f"enumerating 2**19 atoms took {elapsed:.2f} s"
 
     def test_cross_signature_operations_rejected(self):
         a = tg.Proposition.name(AB, "a")
