@@ -21,12 +21,22 @@ The walk draws its normals and uniforms in whole blocks of 4096 steps,
 so the randomness feeding each step depends on the seed alone: a chain is
 reproducible bit-for-bit for a fixed seed, and a longer run extends a
 shorter one exactly.
+
+One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
+its own polytope and with its own random stream; sample_uniform is the
+K = 1 case. scaling_verdict walks consecutive grid points whose reduced
+polytopes have the same shape together, at most 256 coordinates per
+group, which pays NumPy's per-call cost once per step for the group
+instead of once per chain. Every chain does exactly the arithmetic it
+would do alone, so its points, and hence every quantile and verdict, are
+bit-identical to sampling that grid point by itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -37,6 +47,7 @@ from .polytope import (
     InfeasiblePolytopeError,
     ParameterAssignment,
     PolytopeSystem,
+    _Walkspace,
     _walkspace,
     build_polytope,
     indicator,
@@ -52,10 +63,15 @@ SUPPORT_MARGIN = 0.3
 REFUTE_MARGIN = 0.7
 
 _BLOCK = 4096
-# Steps whose chord directions are projected onto the rows in one matmul;
-# 512 keeps that (chunk, rows) array near 1 MB at dimension 256.
+# Steps whose chord directions are projected onto the rows in one matmul
+# per chain; 512 keeps the chunk's projections near 1 MB per 256 walked
+# coordinates.
 _CHUNK = 512
 _DEGENERATE_RADIUS = 1e-12
+# Coordinates walked in lockstep: a group of chains of dimension q holds
+# at most _LOCKSTEP_WIDTH // q of them, so its block of normals is never
+# larger than one 256-coordinate chain's.
+_LOCKSTEP_WIDTH = 256
 
 
 @dataclass(eq=False)
@@ -84,43 +100,129 @@ def _walk(
     uniforms: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Run len(uniforms) hit-and-run steps from y inside rows @ y <= rhs.
+    """Run K hit-and-run chains in lockstep, uniforms.shape[1] steps each.
 
-    Step s moves along normals[s]: the chord through the current point is
-    cut by every constraint row, and uniforms[s] picks the next point on
-    it. A uniform point of a chord does not depend on the direction's
-    length, so the normals are used unnormalized. A numerically empty
-    chord (hi < lo) keeps the walk in place rather than stepping outside.
-    Every visited point is written to out and y ends at the last one.
+    Chain k walks from y[k] inside rows[k] @ y <= rhs[k]: step s moves
+    along normals[k, s], the chord through the current point is cut by
+    every constraint row, and uniforms[k, s] picks the next point on it.
+    A uniform point of a chord does not depend on the direction's length,
+    so the normals are used unnormalized. A numerically empty chord
+    (hi < lo) keeps the chain in place rather than stepping outside.
+    Every visited point is written to out[k] and y[k] ends at the last.
 
-    normals may hold more rows than steps are taken: the chord directions
-    are projected in whole chunks, so a partial block walks the same
-    arithmetic as the start of a full one.
+    Each chain does exactly the floating-point operations it would do
+    alone, so K chains in one call give the same points, bit for bit, as
+    K calls of one chain. The chord directions are projected with one
+    matmul per chain over whole 512-row chunks (normals may hold more rows
+    than steps are taken), so a partial block repeats the arithmetic of
+    the start of a full one. The rows that bound a chord are found for
+    all chains at once: the slack is divided by a NaN-masked array of the
+    rising rows and the negated falling rows, and one fmin reduction gives
+    hi and -lo. The step length itself is plain float arithmetic per
+    chain. out may be normals[:, :steps]: the directions are read before
+    the visited points are written over them.
     """
-    steps = len(uniforms)
-    moves = np.zeros(steps)
-    slack = rhs - rows @ y
+    chains, steps = uniforms.shape
+    m = rows.shape[1]
+    moves = np.zeros((steps, chains, 1))
+    slack = np.array([b - a @ x for a, b, x in zip(rows, rhs, y)])
+    slack_by_side = slack[:, None, :]
+    along = np.empty((_CHUNK, chains, m))
+    ends = np.empty((_CHUNK, chains, 2, m))
+    ratio = np.empty((chains, 2, m))
+    bounds = np.empty((chains, 2))
+    inf = math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, steps, _CHUNK):
-            along = normals[start : start + _CHUNK] @ rows.T
-            rising = along > 0.0
-            falling = along < 0.0
-            for s in range(min(_CHUNK, steps - start)):
-                ratio = slack / along[s]
-                hi = ratio[rising[s]].min(initial=np.inf)
-                lo = ratio[falling[s]].max(initial=-np.inf)
-                # A bounded polytope yields finite chords; the guard keeps
-                # a pathological direction from poisoning the walk.
-                if -np.inf < lo <= hi < np.inf:
-                    t = lo + uniforms[start + s] * (hi - lo)
-                    slack -= t * along[s]
-                    moves[start + s] = t
+            directions = normals[:, start : start + _CHUNK]
+            for k in range(chains):
+                along[: directions.shape[1], k] = directions[k] @ rows[k].T
+            # Rising rows bound the chord above and falling rows below.
+            # Every other entry is 0/False = NaN, which the fmin reduction
+            # skips; a bounding entry is 0/True = 0 plus its exact value.
+            np.divide(0.0, along > 0.0, out=ends[:, :, 0])
+            np.divide(0.0, along < 0.0, out=ends[:, :, 1])
+            ends[:, :, 0] += along
+            ends[:, :, 1] -= along
+            picks = uniforms[:, start : start + _CHUNK].T.tolist()
+            for chain_picks, step_ends, step_along, moved in zip(
+                picks, ends, along, moves[start : start + _CHUNK]
+            ):
+                np.divide(slack_by_side, step_ends, out=ratio)
+                np.fmin.reduce(ratio, axis=2, out=bounds)
+                for k, ((hi, low), u) in enumerate(zip(bounds.tolist(), chain_picks)):
+                    lo = -low
+                    # A bounded polytope yields finite chords; the guard
+                    # keeps a pathological direction (or a side with no
+                    # bounding row, which reduces to NaN) from poisoning
+                    # the walk.
+                    if -inf < lo <= hi < inf:
+                        moved[k] = lo + u * (hi - lo)
+                slack -= moved * step_along
     # Adding y to the first row before the running sum keeps the additions
     # in walk order.
-    np.multiply(moves[:, None], normals[:steps], out=out)
-    out[0] += y
-    np.cumsum(out, axis=0, out=out)
-    y[:] = out[-1]
+    np.multiply(moves.transpose(1, 0, 2), normals[:, :steps], out=out)
+    out[:, 0] += y
+    np.cumsum(out, axis=1, out=out)
+    y[:] = out[:, -1]
+
+
+def _fixed_points(space: _Walkspace, n: int, dimension: int) -> np.ndarray:
+    """The polytope's single (central) point, repeated n times."""
+    points = np.zeros((n, dimension))
+    points[:, space.keep] = space.origin + space.basis @ space.center
+    return points
+
+
+def _lockstep(
+    spaces: list[_Walkspace], seeds, n: int, burn_in: int, dimension: int
+) -> np.ndarray:
+    """Walk every space from its Chebyshev center, one chain per space and
+    each with its own seed, in lockstep; return the (K, n, dimension)
+    models after burn_in steps. The spaces must share rows.shape.
+
+    Every chain draws whole blocks of normals and uniforms from its own
+    generator, as a lone chain does, so a chain's points do not depend on
+    which other chains walk beside it.
+    """
+    chains = len(spaces)
+    q = spaces[0].basis.shape[1]
+    rows = np.stack([space.rows for space in spaces])
+    rhs = np.stack([space.rhs for space in spaces])
+    y = np.stack([space.center for space in spaces])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    points = np.zeros((chains, n, dimension))
+    total = burn_in + n
+    done = 0
+    while done < total:
+        take = min(_BLOCK, total - done)
+        # Whole blocks are always drawn, even when only part is stepped,
+        # so the randomness feeding step t depends on the seed alone: a
+        # longer run with the same seed extends a shorter one exactly.
+        # Only the chunks the walk steps through are kept.
+        kept = -(-take // _CHUNK) * _CHUNK
+        normals = np.empty((chains, kept, q))
+        uniforms = np.empty((chains, take))
+        for k, rng in enumerate(rngs):
+            normals[k] = rng.standard_normal((_BLOCK, q))[:kept]
+            uniforms[k] = rng.random(_BLOCK)[:take]
+        visited = normals[:, :take]
+        _walk(rows, rhs, y, normals, uniforms, visited)
+        first_wanted = max(done, burn_in)
+        if done + take > first_wanted:
+            for k, space in enumerate(spaces):
+                points[k][first_wanted - burn_in : done + take - burn_in, space.keep] = (
+                    visited[k, first_wanted - done :] @ space.basis.T + space.origin
+                )
+        done += take
+    return points
+
+
+def _check_run(n: int, burn_in: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
 
 
 def sample_uniform(
@@ -138,36 +240,11 @@ def sample_uniform(
     a single point (radius 0) yields that point n times with
     degenerate=True.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be non-negative")
+    _check_run(n, burn_in)
     space = _walkspace(system)
-    points = np.zeros((n, system.dimension))
     if space.radius <= _DEGENERATE_RADIUS:
-        points[:, space.keep] = space.origin + space.basis @ space.center
-        return UniformSample(points=points, degenerate=True)
-    rng = np.random.default_rng(seed)
-    q = space.basis.shape[1]
-    y = space.center
-    block_out = np.empty((_BLOCK, q))
-    total = burn_in + n
-    done = 0
-    while done < total:
-        take = min(_BLOCK, total - done)
-        # Whole blocks are always drawn, even when only part is stepped,
-        # so the randomness feeding step t depends on the seed alone: a
-        # longer run with the same seed extends a shorter one exactly.
-        normals = rng.standard_normal((_BLOCK, q))
-        uniforms = rng.random(_BLOCK)
-        _walk(space.rows, space.rhs, y, normals, uniforms[:take], block_out[:take])
-        first_wanted = max(done, burn_in)
-        if done + take > first_wanted:
-            segment = block_out[first_wanted - done : take]
-            points[first_wanted - burn_in : done + take - burn_in, space.keep] = (
-                segment @ space.basis.T + space.origin
-            )
-        done += take
+        return UniformSample(_fixed_points(space, n, system.dimension), degenerate=True)
+    (points,) = _lockstep([space], [seed], n, burn_in, system.dimension)
     return UniformSample(points=points, degenerate=False)
 
 
@@ -270,45 +347,69 @@ def scaling_verdict(
     grid must have at least 3 strictly decreasing deltas, and every grid
     polytope must be nonempty: an infeasible point aborts, naming its
     delta, since quantiles of an empty model set mean nothing.
+
+    Each grid point is sampled with its own seed, drawn from seed, exactly
+    as conclusion_quantile would sample it alone. Consecutive points whose
+    reduced polytopes have the same shape walk in lockstep, up to 256
+    coordinates at a time, which changes no sample. n, burn_in, seed and
+    the grid are checked before any polytope is built.
     """
     grid = tuple(float(d) for d in delta_grid)
     if len(grid) < 3:
         raise ValueError("delta grid needs at least 3 points")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta grid must be strictly decreasing")
-    seeds = np.random.SeedSequence(seed).generate_state(
-        len(PSI_SWEEP) * len(grid), dtype=np.uint64
-    )
-    quantiles = []
-    exponents = []
-    verdicts = []
-    at = 0
-    for scale in PSI_SWEEP:
-        scaled = replace(params, psi=tuple(scale * p for p in params.psi))
-        row = []
-        for delta in grid:
-            point_params = replace(scaled, delta=delta)
-            try:
-                quantile = conclusion_quantile(
-                    kb, point_params, query, n, burn_in, int(seeds[at])
-                )
-            except InfeasiblePolytopeError as err:
-                raise InfeasiblePolytopeError(
-                    f"polytope is empty at delta={delta} (psi scale {scale});"
-                    " the scaling fit is undefined"
-                ) from err
-            row.append(quantile)
-            at += 1
-        quantiles.append(tuple(row))
-        exponent = _fit_exponent(np.array(grid), np.array(row))
-        exponents.append(exponent)
-        verdicts.append(_single_verdict(exponent, query.threshold))
-    verdict = verdicts[0] if len(set(verdicts)) == 1 else "inconclusive"
+    if not all(0 < d < 1 for d in grid):
+        raise ValueError(f"every grid delta must lie in (0, 1), got {grid!r}")
+    _check_run(n, burn_in)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    sweep = list(product(PSI_SWEEP, grid))
+    seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
+    dimension = kb.signature.atom_count
+    quantiles = [0.0] * len(sweep)
+
+    def record(at: int, models: np.ndarray) -> None:
+        rates = exception_rate(models, query.antecedent, query.consequent)
+        quantiles[at] = empirical_quantile(rates, params.eta)
+
+    def walk(group: list[tuple[int, _Walkspace]]) -> None:
+        spaces = [space for _, space in group]
+        chosen = [int(seeds[at]) for at, _ in group]
+        for (at, _), models in zip(group, _lockstep(spaces, chosen, n, burn_in, dimension)):
+            record(at, models)
+
+    group = []
+    for at, (scale, delta) in enumerate(sweep):
+        point = replace(params, psi=tuple(scale * p for p in params.psi), delta=delta)
+        try:
+            space = _walkspace(build_polytope(kb, point))
+        except InfeasiblePolytopeError as err:
+            raise InfeasiblePolytopeError(
+                f"polytope is empty at delta={delta} (psi scale {scale});"
+                " the scaling fit is undefined"
+            ) from err
+        if space.radius <= _DEGENERATE_RADIUS:
+            record(at, _fixed_points(space, n, dimension))
+            continue
+        if group and (
+            space.rows.shape != group[0][1].rows.shape
+            or len(group) >= max(1, _LOCKSTEP_WIDTH // space.rows.shape[1])
+        ):
+            walk(group)
+            group = []
+        group.append((at, space))
+    if group:
+        walk(group)
+
+    rows = [tuple(quantiles[i : i + len(grid)]) for i in range(0, len(sweep), len(grid))]
+    exponents = [_fit_exponent(np.array(grid), np.array(row)) for row in rows]
+    verdicts = {_single_verdict(exponent, query.threshold) for exponent in exponents}
     return ScalingReport(
         threshold=query.threshold,
         delta_grid=grid,
         psi_scales=PSI_SWEEP,
-        quantiles=tuple(quantiles),
+        quantiles=tuple(rows),
         exponents=tuple(exponents),
-        verdict=verdict,
+        verdict=verdicts.pop() if len(verdicts) == 1 else "inconclusive",
     )

@@ -77,6 +77,29 @@ def reference_walk(rows, rhs, y, normals, uniforms, out):
         out[step] = y
 
 
+def per_point_quantiles(kb, query, grid, params, n, seed, burn_in):
+    """scaling_verdict's quantiles computed one grid point at a time, each
+    by its own conclusion_quantile call at the seed scaling_verdict derives
+    for it; the reference for the lockstep walk of the grid."""
+    seeds = np.random.SeedSequence(seed).generate_state(
+        len(tg.PSI_SWEEP) * len(grid), dtype=np.uint64
+    )
+    at = 0
+    rows = []
+    for scale in tg.PSI_SWEEP:
+        row = []
+        for delta in grid:
+            point = tg.ParameterAssignment(
+                psi=tuple(scale * p for p in params.psi), delta=delta, eta=params.eta
+            )
+            row.append(
+                tg.conclusion_quantile(kb, point, query, n, burn_in, int(seeds[at]))
+            )
+            at += 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def eval_tree(node, assignment):
     """Truth of a display tree under {name: bool}; independent of masks."""
     if isinstance(node, tg.Proposition):

@@ -345,6 +345,20 @@ class TestValidate:
         )
         assert "delta grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be non-negative"),
+            (["--samples", "0"], "n must be at least 1"),
+            (["--delta-grid", "0.5,0.1,0"], "every grid delta must lie in (0, 1)"),
+        ],
+    )
+    def test_bad_run_arguments_rejected(self, kb_file, capsys, flags, message):
+        assert main(["validate", "--kb", kb_file, *flags, "t => a | b @ 2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_infeasible_grid_point(self, tmp_path, capsys):
         path = tmp_path / "contradiction.rules"
         path.write_text(CONTRADICTION_TEXT)

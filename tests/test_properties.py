@@ -1,9 +1,12 @@
 """Property tests over random knowledge bases of up to 4 names."""
 
+import numpy as np
 import pytest
 
 import threshgen as tg
 from support import NAMES
+from threshgen.polytope import _walkspace
+from threshgen.sampling import _DEGENERATE_RADIUS, _lockstep
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -58,3 +61,51 @@ def test_atom_depths_equal_per_minterm_depth_of(kb):
         profile.depth_of(tg.Proposition.minterm(signature, i))
         for i in range(signature.atom_count)
     ]
+
+
+SAMPLING = hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+DELTAS = st.sampled_from((0.5, 0.2, 0.05))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def walkspaces(kb, delta):
+    """The non-degenerate reduced polytopes of kb over the psi sweep at
+    delta; empty and single-point ones are left out."""
+    spaces = []
+    for scale in tg.PSI_SWEEP:
+        params = tg.ParameterAssignment(psi=(scale,) * kb.size, delta=delta)
+        try:
+            space = _walkspace(tg.build_polytope(kb, params))
+        except tg.InfeasiblePolytopeError:
+            continue
+        if space.radius > _DEGENERATE_RADIUS:
+            spaces.append(space)
+    return spaces
+
+
+@SAMPLING
+@hypothesis.given(knowledge_bases(), DELTAS, SEEDS)
+def test_sampled_points_lie_in_the_polytope(kb, delta, seed):
+    system = tg.build_polytope(
+        kb, tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=delta)
+    )
+    try:
+        sample = tg.sample_uniform(system, 300, burn_in=50, seed=seed)
+    except tg.InfeasiblePolytopeError:
+        return
+    assert tg.max_violation(system, sample.points) <= 1e-9
+
+
+@SAMPLING
+@hypothesis.given(knowledge_bases(), DELTAS, SEEDS)
+def test_lockstep_group_equals_its_lone_chains(kb, delta, seed):
+    spaces = walkspaces(kb, delta)
+    shapes = {space.rows.shape for space in spaces}
+    dimension = kb.signature.atom_count
+    for shape in shapes:
+        group = [space for space in spaces if space.rows.shape == shape]
+        seeds = [seed + k for k in range(len(group))]
+        together = _lockstep(group, seeds, 300, 50, dimension)
+        for space, chain_seed, points in zip(group, seeds, together):
+            (alone,) = _lockstep([space], [chain_seed], 300, 50, dimension)
+            assert np.array_equal(points, alone)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import threshgen as tg
-from support import random_kb, random_proposition, reference_walk
+from support import per_point_quantiles, random_kb, random_proposition, reference_walk
+from threshgen import sampling
+from threshgen.polytope import _walkspace
 from threshgen.sampling import _walk
 
 A1 = tg.Signature(("a",))
@@ -33,21 +35,30 @@ def batch_mean_se(values, batches=100):
     return means.std(ddof=1) / math.sqrt(batches)
 
 
-def walk_inputs(seed, steps=256, dim=3):
+def walk_inputs(seed, steps=256, dim=3, cut=1.5):
     """A feasible random walk problem: a box with a diagonal cut."""
     rng = np.random.default_rng(seed)
     rows = np.vstack([np.eye(dim), -np.eye(dim), np.ones((1, dim))])
-    rhs = np.concatenate([np.ones(2 * dim), [1.5]])
+    rhs = np.concatenate([np.ones(2 * dim), [cut]])
     y = np.zeros(dim)
     normals = rng.standard_normal((steps, dim))
     uniforms = rng.random(steps)
     return rows, rhs, y, normals, uniforms
 
 
-def run_walk(walk, seed, steps=256, dim=3):
+def run_reference(seed, steps=256, dim=3):
     rows, rhs, y, normals, uniforms = walk_inputs(seed, steps, dim)
     out = np.empty((steps, dim))
-    walk(rows, rhs, y, normals, uniforms, out)
+    reference_walk(rows, rhs, y, normals, uniforms, out)
+    return y, out
+
+
+def run_kernel(problems, steps):
+    """Walk single-chain problems as one K-chain call of the kernel;
+    normals may hold more rows than steps."""
+    rows, rhs, y, normals, uniforms = (np.stack(part) for part in zip(*problems))
+    out = np.empty((len(problems), steps, rows.shape[2]))
+    _walk(rows, rhs, y, normals, uniforms[:, :steps], out)
     return y, out
 
 
@@ -58,26 +69,52 @@ class TestWalkKernel:
     # beyond that the kernel is checked as a sampler.
 
     def test_short_walks_match_reference(self):
-        for seed in range(8):
-            y_ref, out_ref = run_walk(reference_walk, seed, steps=12)
-            y_new, out_new = run_walk(_walk, seed, steps=12)
-            assert np.allclose(out_new, out_ref, atol=1e-9, rtol=0.0)
-            assert np.allclose(y_new, y_ref, atol=1e-9, rtol=0.0)
+        seeds = range(8)
+        y_new, out_new = run_kernel([walk_inputs(seed, steps=12) for seed in seeds], 12)
+        for k, seed in enumerate(seeds):
+            y_ref, out_ref = run_reference(seed, steps=12)
+            assert np.allclose(out_new[k], out_ref, atol=1e-9, rtol=0.0)
+            assert np.allclose(y_new[k], y_ref, atol=1e-9, rtol=0.0)
 
     def test_short_walks_match_reference_in_higher_dimension(self):
-        _, out_ref = run_walk(reference_walk, 11, steps=10, dim=12)
-        _, out_new = run_walk(_walk, 11, steps=10, dim=12)
-        assert np.allclose(out_new, out_ref, atol=1e-9, rtol=0.0)
+        _, out_ref = run_reference(11, steps=10, dim=12)
+        _, out_new = run_kernel([walk_inputs(11, steps=10, dim=12)], 10)
+        assert np.allclose(out_new[0], out_ref, atol=1e-9, rtol=0.0)
 
     def test_stays_inside(self):
-        rows, rhs, y, normals, uniforms = walk_inputs(1, steps=1200)
-        out = np.empty((1200, 3))
-        _walk(rows, rhs, y, normals, uniforms, out)
-        assert np.all(rows @ out.T <= rhs[:, None] + 1e-12)
+        problems = [walk_inputs(seed, steps=1200, cut=cut) for seed, cut in ((1, 1.5), (2, 0.2))]
+        _, out = run_kernel(problems, 1200)
+        for (rows, rhs, *_), visited in zip(problems, out):
+            assert np.all(rows @ visited.T <= rhs[:, None] + 1e-12)
 
     def test_final_state_is_last_row(self):
-        y, out = run_walk(_walk, 2)
-        assert np.array_equal(y, out[-1])
+        y, out = run_kernel([walk_inputs(2), walk_inputs(3)], 256)
+        assert np.array_equal(y, out[:, -1])
+
+    def test_lockstep_chains_equal_lone_chains(self):
+        # Different polytopes of one shape, over more than one 512-step
+        # chunk and ending inside a chunk: each chain of the K-chain call
+        # must be bit-identical to the same chain walked alone.
+        steps = 1100
+        problems = [
+            walk_inputs(seed, steps=1536, dim=4, cut=cut)
+            for seed, cut in ((5, 1.5), (6, 0.3), (7, 3.9), (8, 2.0))
+        ]
+        y_all, out_all = run_kernel(problems, steps)
+        for k, problem in enumerate(problems):
+            y_one, out_one = run_kernel([problem], steps)
+            assert np.array_equal(out_all[k], out_one[0])
+            assert np.array_equal(y_all[k], y_one[0])
+
+    def test_visited_points_may_overwrite_the_normals(self):
+        steps = 700
+        rows, rhs, y, normals, uniforms = (
+            part[None] for part in walk_inputs(9, steps=1024)
+        )
+        y_apart, out_apart = run_kernel([walk_inputs(9, steps=1024)], steps)
+        _walk(rows, rhs, y, normals, uniforms[:, :steps], normals[:, :steps])
+        assert np.array_equal(normals[:, :steps], out_apart)
+        assert np.array_equal(y, y_apart)
 
     def test_single_name_distribution(self):
         _, system = simple_system(delta=0.1)
@@ -345,6 +382,72 @@ class TestScalingVerdict:
         query = rule(A1, "true", "a", 1)
         with pytest.raises(tg.InfeasiblePolytopeError, match="0.3"):
             tg.scaling_verdict(kb, query, (0.9, 0.7, 0.3), params, n=100, seed=0)
+
+    def test_quantiles_equal_per_point_quantiles(self):
+        # Over (0.9, 0.6, 0.3) the psi x2 row drops the first rule's row at
+        # 0.9 and 0.6, so the grid mixes reduced shapes. Wherever the second
+        # rule's psi * delta is below 1 (all of psi x0.5, and delta 0.3 at
+        # psi x1) it pins every b atom, the @ inf rule pins ~a & ~b, and
+        # the one coordinate left makes the point degenerate.
+        kb = tg.KnowledgeBase(
+            AB,
+            (
+                rule(AB, "true", "a", 1),
+                rule(AB, "b", "~b", 1),
+                rule(AB, "~b", "a", tg.INFINITY),
+            ),
+        )
+        params = tg.ParameterAssignment(psi=(1.0, 2.0, 1.0), delta=0.9)
+        query = rule(AB, "true", "a & ~b", 1)
+        grid = (0.9, 0.6, 0.3)
+        report = tg.scaling_verdict(kb, query, grid, params, n=700, seed=15, burn_in=4000)
+        expected = per_point_quantiles(kb, query, grid, params, 700, 15, 4000)
+        assert np.array_equal(report.quantiles, expected)
+        spaces = [
+            _walkspace(
+                tg.build_polytope(
+                    kb, tg.ParameterAssignment(psi=(s, 2 * s, s), delta=d)
+                )
+            )
+            for s in tg.PSI_SWEEP
+            for d in grid
+        ]
+        walked = [space.rows.shape for space in spaces if space.radius > 0.0]
+        assert len(set(walked)) == 2
+        assert len(walked) < len(spaces)
+
+    def test_wide_grid_splits_into_capped_groups(self):
+        # 5 names walk in 31 coordinates, so at most 8 chains share a
+        # group and the 12 grid points need two.
+        signature = tg.Signature(("a", "b", "c", "d", "e"))
+        kb = tg.KnowledgeBase(
+            signature, tuple(rule(signature, "true", name, 1) for name in "abcde")
+        )
+        params = tg.ParameterAssignment(psi=(1.0,) * 5, delta=0.1)
+        query = rule(signature, "true", "a & b", 1)
+        report = tg.scaling_verdict(kb, query, self.GRID, params, n=300, seed=16, burn_in=100)
+        expected = per_point_quantiles(kb, query, self.GRID, params, 300, 16, 100)
+        assert np.array_equal(report.quantiles, expected)
+
+    def test_run_arguments_checked_before_any_lp(self, monkeypatch):
+        def no_lp(system):
+            raise AssertionError("an LP ran before the arguments were checked")
+
+        monkeypatch.setattr(sampling, "_walkspace", no_lp)
+        kb = two_rule_chain_kb()
+        params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
+        query = rule(AB, "true", "a | b", 2)
+        cases = [
+            (dict(n=0), "n must be at least 1"),
+            (dict(burn_in=-1), "burn_in must be non-negative"),
+            (dict(seed=-1), "seed must be non-negative"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                tg.scaling_verdict(kb, query, self.GRID, params, **kwargs)
+        for grid in ((0.1, 0.05, 0.0), (0.1, 0.05, -0.5), (1.5, 0.5, 0.1)):
+            with pytest.raises(ValueError, match=r"\(0, 1\)"):
+                tg.scaling_verdict(kb, query, grid, params, n=100)
 
     def test_agreement_with_symbolic_engine(self):
         rng = np.random.default_rng(43)
