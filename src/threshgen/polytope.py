@@ -18,11 +18,11 @@ reading the conditional probability as 1 there.
 
 The module also owns the one decision of whether the polytope is empty.
 Coordinates pinned to zero (by @ inf rules, or by inequality rows that can
-only be satisfied at zero) are eliminated, the normalization equality is
-removed with an orthonormal basis of its null space, and a single
-Chebyshev-center linear program on the reduced rows either places the
-largest inscribed ball or proves the system empty. is_feasible asks that
-question, and threshgen.sampling starts its walk from the same center.
+only be satisfied at zero) are eliminated, and a single Chebyshev-center
+linear program over the remaining atoms, on the plane where they sum to 1,
+either places the largest inscribed ball or proves the system empty.
+is_feasible asks that question, and threshgen.sampling starts its walk
+from the same center.
 
 Exact vectors over all 2**r atoms stop being reasonable well before the
 24-name cap of the symbolic side, so model-semantics operations cap the
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .depth import INFINITY, KnowledgeBase
@@ -141,15 +140,13 @@ def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSy
 
 @dataclass(eq=False)
 class _Walkspace:
-    """The polytope with pinned coordinates removed and the normalization
-    equality eliminated: its points are x = origin + basis@y over the kept
-    coordinates, subject to rows @ y <= rhs. center and radius describe
-    the largest ball inside; with one kept coordinate the polytope is a
-    single point, so center is empty and radius is 0."""
+    """The polytope over its kept atoms, in model coordinates: the points
+    x with sum(x) = 1 and rows @ x <= rhs, the rule rows that cut that
+    plane followed by -I. center and radius describe the largest ball
+    inside, within the plane; with one kept atom the polytope is the point
+    [1.0] and radius is 0."""
 
     keep: np.ndarray
-    origin: np.ndarray
-    basis: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
     center: np.ndarray
@@ -179,9 +176,10 @@ def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
 
 
 def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center and radius of the largest ball inside rows @ y <= rhs."""
+    """Center and radius of the largest ball inside rows @ x <= rhs on the
+    plane sum(x) = 1, within which a row's norm is that of row - mean(row)."""
     q = rows.shape[1]
-    norms = np.linalg.norm(rows, axis=1)
+    norms = np.linalg.norm(rows - rows.mean(axis=1, keepdims=True), axis=1)
     objective = np.zeros(q + 1)
     objective[q] = -1.0
     # Presolve is disabled: HiGHS's presolver can misdeclare thin systems
@@ -189,13 +187,17 @@ def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
     # only at a degenerate vertex) infeasible. The systems are small, so
     # solving them outright is cheap and gives the reliable answer. The
     # simplex solver also stops, rarely, with an unknown status (status 4)
-    # on small empty systems; the interior-point solver then decides.
+    # on small empty systems; the interior-point solver then decides. The
+    # bounds x >= 0 repeat the -I rows, which alone let HiGHS's scaling
+    # leave a degenerate center's zero coordinates at -1e-6.
     for method in ("highs", "highs-ipm"):
         result = linprog(
             objective,
             A_ub=np.hstack([rows, norms[:, None]]),
             b_ub=rhs,
-            bounds=[(None, None)] * q + [(0, None)],
+            A_eq=np.append(np.ones(q), 0.0)[None],
+            b_eq=[1.0],
+            bounds=[(0, None)] * (q + 1),
             method=method,
             options={
                 "presolve": False,
@@ -212,8 +214,8 @@ def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
 
 
 def _walkspace(system: PolytopeSystem) -> _Walkspace:
-    """Reduce the system to its affine hull and find its Chebyshev center,
-    raising InfeasiblePolytopeError when no model satisfies every
+    """Restrict the system to its kept atoms and find its Chebyshev
+    center, raising InfeasiblePolytopeError when no model satisfies every
     constraint."""
     keep = np.flatnonzero(~_pinned_coordinates(system))
     if keep.size == 0:
@@ -221,37 +223,31 @@ def _walkspace(system: PolytopeSystem) -> _Walkspace:
             "every coordinate is forced to zero, so no model normalizes"
         )
     count = keep.size
-    origin = np.full(count, 1.0 / count)
-    basis = null_space(np.ones((1, count)))
     rows = []
     rhs = []
     for row, bound in zip(system.ineq_rows, system.ineq_rhs):
         kept = row[keep]
         if not (kept > 0.0).any():
             continue  # satisfied by any non-negative point
-        projected = kept @ basis
-        slack = bound - kept @ origin
-        if np.linalg.norm(projected) < 1e-13:
-            # Row is constant on the affine hull; either vacuous or empty.
-            if slack < -FEASIBILITY_TOLERANCE:
+        if np.linalg.norm(kept - kept.mean()) < 1e-13:
+            # Row is constant on the plane, at mean(kept); vacuous or empty.
+            if bound - kept.mean() < -FEASIBILITY_TOLERANCE:
                 raise InfeasiblePolytopeError(
                     "a rule row excludes the entire affine hull"
                 )
             continue
-        rows.append(projected)
-        rhs.append(slack)
-    # Non-negativity of the kept coordinates, in walk coordinates.
-    rows.extend(-basis)
-    rhs.extend(origin)
-    rows = np.ascontiguousarray(rows, dtype=float)
-    rhs = np.ascontiguousarray(rhs, dtype=float)
+        rows.append(kept)
+        rhs.append(bound)
+    # Non-negativity of the kept coordinates.
+    rows = np.vstack(rows + [-np.eye(count)])
+    rhs = np.array(rhs + [0.0] * count)
     if count == 1:
         # One free coordinate carrying all mass; every row was screened
         # above, so the polytope is that single point.
-        center, radius = np.zeros(0), 0.0
+        center, radius = np.ones(1), 0.0
     else:
         center, radius = _chebyshev_center(rows, rhs)
-    return _Walkspace(keep, origin, basis, rows, rhs, center, radius)
+    return _Walkspace(keep, rows, rhs, center, radius)
 
 
 def is_feasible(system: PolytopeSystem) -> bool:

@@ -10,12 +10,12 @@ If the knowledge base really does support the query at threshold j, the
 (1 - eta)-quantile must scale like delta**j, so the fitted log-log slope
 across a grid of deltas supports or refutes j.
 
-Sampling runs inside the affine hull of the polytope, in the reduced
-coordinates threshgen.polytope computes when it decides emptiness, and the
-walk starts from that decision's Chebyshev center. If the reduced polytope
-has radius zero the single (center) point is returned n times, flagged
-degenerate; width-zero polytopes with extent in some direction would
-collapse the same way, but only arise from exact parameter coincidences.
+Sampling walks the atoms threshgen.polytope keeps when it decides
+emptiness, in model coordinates and along directions that sum to zero,
+from that decision's Chebyshev center. If the polytope has radius zero the
+single (center) point is returned n times, flagged degenerate; width-zero
+polytopes with extent in some direction would collapse the same way, but
+only arise from exact parameter coincidences.
 
 The walk draws its normals and uniforms in whole blocks of 4096 steps,
 so the randomness feeding each step depends on the seed alone: a chain is
@@ -24,12 +24,12 @@ shorter one exactly.
 
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
 its own polytope and with its own random stream; sample_uniform is the
-K = 1 case. scaling_verdict walks consecutive grid points whose reduced
-polytopes have the same shape together, at most 256 coordinates per
-group, which pays NumPy's per-call cost once per step for the group
-instead of once per chain. Every chain does exactly the arithmetic it
-would do alone, so its points, and hence every quantile and verdict, are
-bit-identical to sampling that grid point by itself.
+K = 1 case. scaling_verdict walks consecutive grid points whose polytopes
+have the same shape together, at most 256 coordinates per group, which
+pays NumPy's per-call cost once per step for the group instead of once per
+chain. Every chain does exactly the arithmetic it would do alone, so its
+points, and hence every quantile and verdict, are bit-identical to
+sampling that grid point by itself.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _walk(
 def _fixed_points(space: _Walkspace, n: int, dimension: int) -> np.ndarray:
     """The polytope's single (central) point, repeated n times."""
     points = np.zeros((n, dimension))
-    points[:, space.keep] = space.origin + space.basis @ space.center
+    points[:, space.keep] = space.center
     return points
 
 
@@ -183,10 +183,12 @@ def _lockstep(
 
     Every chain draws whole blocks of normals and uniforms from its own
     generator, as a lone chain does, so a chain's points do not depend on
-    which other chains walk beside it.
+    which other chains walk beside it. A normal z steps along z - mean(z),
+    isotropic in the plane sum(x) = 1, so the target stays uniform; each
+    block starts by putting the chain's point back on that plane.
     """
     chains = len(spaces)
-    q = spaces[0].basis.shape[1]
+    q = spaces[0].rows.shape[1]
     rows = np.stack([space.rows for space in spaces])
     rhs = np.stack([space.rhs for space in spaces])
     y = np.stack([space.center for space in spaces])
@@ -206,14 +208,15 @@ def _lockstep(
         for k, rng in enumerate(rngs):
             normals[k] = rng.standard_normal((_BLOCK, q))[:kept]
             uniforms[k] = rng.random(_BLOCK)[:take]
+        normals -= normals.mean(axis=2, keepdims=True)
+        y += (1.0 - y.sum(axis=1, keepdims=True)) / q
         visited = normals[:, :take]
         _walk(rows, rhs, y, normals, uniforms, visited)
         first_wanted = max(done, burn_in)
         if done + take > first_wanted:
+            stored = slice(first_wanted - burn_in, done + take - burn_in)
             for k, space in enumerate(spaces):
-                points[k][first_wanted - burn_in : done + take - burn_in, space.keep] = (
-                    visited[k, first_wanted - done :] @ space.basis.T + space.origin
-                )
+                points[k][stored, space.keep] = visited[k, first_wanted - done :]
         done += take
     return points
 
@@ -350,7 +353,7 @@ def scaling_verdict(
 
     Each grid point is sampled with its own seed, drawn from seed, exactly
     as conclusion_quantile would sample it alone. Consecutive points whose
-    reduced polytopes have the same shape walk in lockstep, up to 256
+    polytopes have the same shape walk in lockstep, up to 256
     coordinates at a time, which changes no sample. n, burn_in, seed and
     the grid are checked before any polytope is built.
     """

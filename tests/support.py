@@ -1,8 +1,11 @@
 """Shared helpers for the test suite: generators and independent oracles."""
 
 import numpy as np
+from scipy.optimize import brentq, linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import threshgen as tg
+from threshgen.polytope import _walkspace
 
 NAMES = ("a", "b", "c", "d", "e", "g", "h", "i", "j", "k")
 
@@ -98,6 +101,79 @@ def per_point_quantiles(kb, query, grid, params, n, seed, burn_in):
             at += 1
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _drop_last(rows, rhs):
+    """rows @ x <= rhs over the kept atoms, rewritten over all of them but
+    the last, which carries 1 - sum(others)."""
+    return rows[:, :-1] - rows[:, -1:], rhs - rows[:, -1]
+
+
+def _inner_point(rows, rhs):
+    """Chebyshev center and radius of rows @ u <= rhs; radius 0 when the
+    system is empty."""
+    d = rows.shape[1]
+    norms = np.linalg.norm(rows, axis=1)
+    result = linprog(
+        np.r_[np.zeros(d), -1.0],
+        A_ub=np.hstack([rows, norms[:, None]]),
+        b_ub=rhs,
+        bounds=[(None, None)] * d + [(0, None)],
+    )
+    if result.status != 0:
+        return None, 0.0
+    return result.x[:d], result.x[d]
+
+
+def _volume(rows, rhs, inside):
+    """Volume of rows @ u <= rhs, given a point strictly inside."""
+    if rows.shape[1] == 1:
+        column = rows[:, 0]
+        ends = rhs / column
+        return max(0.0, ends[column > 0].min() - ends[column < 0].max())
+    halfspaces = HalfspaceIntersection(np.hstack([rows, -rhs[:, None]]), inside)
+    return ConvexHull(halfspaces.intersections).volume
+
+
+def exact_quantile(kb, params, query):
+    """The exact (1 - eta)-quantile of 1 - pi(zeta|gamma) under the uniform
+    law on the kb polytope, for knowledge bases of 2-3 names.
+
+    The polytope is parametrized by its kept atoms but the last, which
+    carries 1 - sum(others). That linear map scales every volume by one
+    factor, so probabilities are volume ratios in these coordinates. The
+    event 1 - pi(zeta|gamma) <= t is the half-space
+    ((1 - t) gamma - gamma & zeta) . x <= 0, so its probability is the
+    volume of the polytope cut by it over the polytope's own volume, and
+    the quantile is found by root bracketing on t.
+    """
+    system = tg.build_polytope(kb, params)
+    space = _walkspace(system)
+    if space.radius <= 0.0:
+        raise ValueError("the polytope has no interior to measure")
+    keep = space.keep
+    rows, rhs = _drop_last(space.rows, space.rhs)
+    whole = _volume(rows, rhs, space.center[:-1])
+    gamma, both = (
+        tg.indicator(prop.mask, system.dimension)[keep]
+        for prop in (query.antecedent, query.antecedent & query.consequent)
+    )
+
+    def share_within(t):
+        cut, bound = _drop_last(((1.0 - t) * gamma - both)[None], np.zeros(1))
+        if not cut.any():
+            return 1.0 if bound[0] >= 0.0 else 0.0
+        cut_rows = np.vstack([rows, cut])
+        cut_rhs = np.concatenate([rhs, bound])
+        inside, radius = _inner_point(cut_rows, cut_rhs)
+        if radius <= 1e-14:
+            return 0.0
+        return _volume(cut_rows, cut_rhs, inside) / whole
+
+    level = 1.0 - params.eta
+    if share_within(0.0) >= level:
+        return 0.0
+    return brentq(lambda t: share_within(t) - level, 0.0, 1.0, xtol=1e-15)
 
 
 def eval_tree(node, assignment):

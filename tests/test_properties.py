@@ -6,7 +6,7 @@ import pytest
 import threshgen as tg
 from support import NAMES
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _DEGENERATE_RADIUS, _lockstep
+from threshgen.sampling import _DEGENERATE_RADIUS, _fixed_points, _lockstep
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,6 +81,22 @@ def walkspaces(kb, delta):
         if space.radius > _DEGENERATE_RADIUS:
             spaces.append(space)
     return spaces
+
+
+@SAMPLING
+@hypothesis.given(knowledge_bases(), DELTAS)
+def test_center_is_a_model(kb, delta):
+    for scale in tg.PSI_SWEEP:
+        system = tg.build_polytope(
+            kb, tg.ParameterAssignment(psi=(scale,) * kb.size, delta=delta)
+        )
+        try:
+            space = _walkspace(system)
+        except tg.InfeasiblePolytopeError:
+            continue
+        center = _fixed_points(space, 1, system.dimension)
+        assert tg.max_violation(system, center) <= 1e-9
+        assert np.all(space.rows @ space.center <= space.rhs + 1e-9)
 
 
 @SAMPLING

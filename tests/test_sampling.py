@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 import threshgen as tg
-from support import per_point_quantiles, random_kb, random_proposition, reference_walk
+from support import (
+    exact_quantile,
+    per_point_quantiles,
+    random_kb,
+    random_proposition,
+    reference_walk,
+)
 from threshgen import sampling
 from threshgen.polytope import _walkspace
 from threshgen.sampling import _walk
@@ -323,6 +330,64 @@ class TestConclusionQuantile:
             assert q <= 1.0 * 0.2**query.threshold + 1e-9
 
 
+class TestExactQuantile:
+    CHAIN_GRID = (0.1, 0.05, 0.025, 0.0125)
+    # exact_quantile of t => a | b @ 2 over the two-rule chain on CHAIN_GRID.
+    CHAIN_QUANTILES = (6.7986e-3, 1.7047e-3, 4.2678e-4, 1.0677e-4)
+
+    def test_closed_forms(self):
+        # Uniform models of an empty KB are Dirichlet(1, ..., 1), so the
+        # mass of a's complement, half of the 2**r atoms, is
+        # Beta(2**(r-1), 2**(r-1)); one rule t => a @ 1 makes pi(~a)
+        # uniform on [0, delta].
+        for names in (("a", "b"), ("a", "b", "c")):
+            signature = tg.Signature(names)
+            kb = tg.KnowledgeBase(signature, ())
+            half = signature.atom_count // 2
+            exact = exact_quantile(
+                kb,
+                tg.ParameterAssignment(psi=(), delta=0.5),
+                rule(signature, "true", "a", 1),
+            )
+            assert abs(exact - beta.ppf(0.9, half, half)) <= 1e-12
+        kb, _ = simple_system()
+        exact = exact_quantile(
+            kb, tg.ParameterAssignment(psi=(1.0,), delta=0.1), rule(A1, "true", "a", 1)
+        )
+        assert abs(exact - 0.09) <= 1e-12
+
+    def test_two_rule_chain(self):
+        kb = two_rule_chain_kb()
+        query = rule(AB, "true", "a | b", 2)
+        for delta, expected in zip(self.CHAIN_GRID, self.CHAIN_QUANTILES):
+            params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=delta)
+            assert abs(exact_quantile(kb, params, query) / expected - 1) <= 1e-4
+
+    def test_walk_quantiles_are_calibrated(self):
+        # Measured over seeds 0-19 at n = 20000: the walk's quantile lies
+        # within 4.7% of the exact one on the two-rule chain's grid, and
+        # within 23% on the three-name chain, whose quantile moves by
+        # about 9% (one standard deviation) between seeds.
+        kb = two_rule_chain_kb()
+        query = rule(AB, "true", "a | b", 2)
+        for delta, expected in zip(self.CHAIN_GRID, self.CHAIN_QUANTILES):
+            params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=delta)
+            walked = tg.conclusion_quantile(kb, params, query, n=20000, seed=0)
+            assert abs(walked / expected - 1) <= 0.05
+        abc = tg.Signature(("a", "b", "c"))
+        kb = tg.KnowledgeBase(
+            abc,
+            (rule(abc, "true", "a", 1), rule(abc, "a", "b", 1), rule(abc, "b", "c", 2)),
+        )
+        params = tg.ParameterAssignment(psi=(1.0,) * 3, delta=0.1)
+        query = rule(abc, "a", "c", 2)
+        expected = exact_quantile(kb, params, query)
+        assert abs(expected - 0.0709) <= 1e-4
+        for seed in range(4):
+            walked = tg.conclusion_quantile(kb, params, query, n=20000, seed=seed)
+            assert abs(walked / expected - 1) <= 0.25
+
+
 class TestScalingVerdict:
     GRID = (0.1, 0.05, 0.025)
 
@@ -417,7 +482,7 @@ class TestScalingVerdict:
         assert len(walked) < len(spaces)
 
     def test_wide_grid_splits_into_capped_groups(self):
-        # 5 names walk in 31 coordinates, so at most 8 chains share a
+        # 5 names walk in 32 coordinates, so at most 8 chains share a
         # group and the 12 grid points need two.
         signature = tg.Signature(("a", "b", "c", "d", "e"))
         kb = tg.KnowledgeBase(
