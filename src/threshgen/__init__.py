@@ -7,6 +7,10 @@ route samples probability models from the base's constraint polytope and
 checks how exception quantiles scale. Both live here, with a bridge to
 System-Z+ default rules and a command-line front end (``threshgen``).
 
+Only the numerical route uses NumPy and SciPy. Its modules, polytope and
+sampling, are imported on the first access to one of their names, so
+``import threshgen`` and the symbolic commands load neither library.
+
 Typical use:
 
     >>> import threshgen as tg
@@ -15,6 +19,8 @@ Typical use:
     >>> profile.max_entailed_threshold(*[tg.parse(s, kb.signature) for s in ("true", "a | b")])
     2
 """
+
+from importlib import import_module as _import_module
 
 from .depth import (
     INFINITY,
@@ -35,16 +41,6 @@ from .logic import (
     parse,
     scan_names,
 )
-from .polytope import (
-    InfeasiblePolytopeError,
-    NumericalError,
-    ParameterAssignment,
-    PolytopeSystem,
-    build_polytope,
-    indicator,
-    is_feasible,
-    max_violation,
-)
 from .rulefile import (
     RuleFileError,
     file_signature,
@@ -54,16 +50,6 @@ from .rulefile import (
     load_kb,
     parse_query,
     query_names,
-)
-from .sampling import (
-    PSI_SWEEP,
-    ScalingReport,
-    UniformSample,
-    conclusion_quantile,
-    empirical_quantile,
-    exception_rate,
-    sample_uniform,
-    scaling_verdict,
 )
 from .zplus import (
     SideConditionError,
@@ -76,6 +62,27 @@ from .zplus import (
 )
 
 __version__ = "0.1.0"
+
+# The numerical route's public names and their modules; __getattr__ imports
+# a module on the first access to one of its names.
+_LAZY_NAMES = {
+    "InfeasiblePolytopeError": "polytope",
+    "NumericalError": "polytope",
+    "ParameterAssignment": "polytope",
+    "PolytopeSystem": "polytope",
+    "build_polytope": "polytope",
+    "indicator": "polytope",
+    "is_feasible": "polytope",
+    "max_violation": "polytope",
+    "PSI_SWEEP": "sampling",
+    "ScalingReport": "sampling",
+    "UniformSample": "sampling",
+    "conclusion_quantile": "sampling",
+    "empirical_quantile": "sampling",
+    "exception_rate": "sampling",
+    "sample_uniform": "sampling",
+    "scaling_verdict": "sampling",
+}
 
 __all__ = [
     "INFINITY",
@@ -126,3 +133,17 @@ __all__ = [
     "zplus_consequence",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY_NAMES.values():  # threshgen.polytope, threshgen.sampling
+        return _import_module(f".{name}", __name__)
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES, *_LAZY_NAMES.values()})

@@ -11,16 +11,24 @@ and bit-exact across runs for identical inputs and seed.
 Exit codes: 0 for the affirmative verdict (consistent / entailed /
 supports, and plain success for the other commands), 2 for inconsistent,
 3 for not entailed or refuted, 4 for inconclusive, 1 for any input error.
+A reader that closes standard output early is not an error: the output
+stops quietly and the exit code is still the verdict's.
+
+Only validate imports the numerical route (threshgen.polytope and
+threshgen.sampling, hence NumPy and SciPy); the other commands are
+symbolic and never load either library, which would take longer to
+import than they take to answer.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import redirect_stdout
 
 from .depth import DepthProfile, compile_kb, depth_text
 from .logic import parse
-from .polytope import NumericalError, ParameterAssignment
 from .rulefile import (
     format_defaults,
     format_kb,
@@ -29,7 +37,6 @@ from .rulefile import (
     parse_query,
     query_names,
 )
-from .sampling import scaling_verdict
 from .zplus import from_zplus, to_zplus
 
 
@@ -144,8 +151,10 @@ def cmd_depthmap(args) -> int:
         pairs += [(f"atom_{i}", depth_text(d)) for i, d in enumerate(depths)]
         print(_kv_block(pairs), end="")
     else:
+        # One write per atom: there can be 2**24 of them.
+        write = sys.stdout.write
         for i, d in enumerate(depths):
-            print(f"{signature.atom_text(i)}: {depth_text(d)}")
+            write(f"{signature.atom_text(i)}: {depth_text(d)}\n")
     return 0
 
 
@@ -201,6 +210,10 @@ def _parse_psi(text: str, rule_count: int) -> tuple[float, ...]:
 
 
 def cmd_validate(args) -> int:
+    # The numerical route, and with it NumPy and SciPy, loads only here.
+    from .polytope import NumericalError, ParameterAssignment
+    from .sampling import scaling_verdict
+
     text = _read(args.kb)
     kb = load_kb(text, extra_names=query_names(args.query))
     query = parse_query(args.query, kb.signature)
@@ -210,9 +223,12 @@ def cmd_validate(args) -> int:
         delta=grid[0],
         eta=args.eta,
     )
-    report = scaling_verdict(
-        kb, query, grid, params, n=args.samples, seed=args.seed
-    )
+    try:
+        report = scaling_verdict(
+            kb, query, grid, params, n=args.samples, seed=args.seed
+        )
+    except NumericalError as error:
+        return _fail(error)
     if args.format == "kv":
         pairs = [
             ("verdict", report.verdict),
@@ -310,13 +326,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _QuietPipe:
+    """Standard output that falls silent once its reader closes the pipe.
+
+    Nothing the command prints can reach a closed pipe, but its verdict
+    still decides the exit code, so the broken pipe is not an error.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            self.stream.write(text)
+        except BrokenPipeError:
+            self._silence()
+        return len(text)
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._silence()
+
+    def _silence(self) -> None:
+        # Point the descriptor at /dev/null: later writes, and whatever the
+        # stream still buffers when Python flushes at exit, go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self.stream.fileno())
+        os.close(devnull)
+
+
+def _fail(error: Exception) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError, NumericalError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    stdout = _QuietPipe(sys.stdout)
+    with redirect_stdout(stdout):
+        args = build_parser().parse_args(argv)
+        try:
+            code = args.func(args)
+            stdout.flush()
+        except (ValueError, OSError) as error:
+            return _fail(error)
+    return code
 
 
 if __name__ == "__main__":

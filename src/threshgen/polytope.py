@@ -22,7 +22,9 @@ only be satisfied at zero) are eliminated, and a single Chebyshev-center
 linear program over the remaining atoms, on the plane where they sum to 1,
 either places the largest inscribed ball or proves the system empty.
 is_feasible asks that question, and threshgen.sampling starts its walk
-from the same center.
+from the same center. The LP goes through the module's linprog, which
+imports SciPy on its first call, so importing this module loads NumPy
+but not SciPy.
 
 Exact vectors over all 2**r atoms stop being reasonable well before the
 24-name cap of the symbolic side, so model-semantics operations cap the
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .depth import INFINITY, KnowledgeBase
 from .logic import Signature
@@ -43,6 +44,18 @@ from .logic import Signature
 MAX_MODEL_NAMES = 8
 
 FEASIBILITY_TOLERANCE = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, with SciPy imported on the first call.
+
+    Importing scipy.optimize takes about half a second, so it waits until
+    an LP is solved; building a polytope or checking a model needs none.
+    Every LP of the package goes through this name.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 class NumericalError(RuntimeError):

@@ -1,11 +1,23 @@
 """Shared helpers for the test suite: generators and independent oracles."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import threshgen as tg
 from threshgen.polytope import _walkspace
+
+
+def child_env(**overrides):
+    """Environment for a fresh interpreter that imports this threshgen."""
+    env = dict(os.environ, **overrides)
+    source = str(Path(tg.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
+
 
 NAMES = ("a", "b", "c", "d", "e", "g", "h", "i", "j", "k")
 

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: verdicts, exit codes, kv output."""
 
 import math
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 import threshgen as tg
+from support import child_env
 from threshgen.cli import main, parse_kv
 
 TWO_RULE_TEXT = "t => a @ 1\n~a => b @ 1\n"
@@ -359,6 +364,21 @@ class TestValidate:
         assert captured.out == ""
         assert message in captured.err
 
+    def test_lp_failure_is_an_error(self, kb_file, capsys, monkeypatch):
+        calls = []
+
+        def failing_linprog(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return SimpleNamespace(status=1, message="Iteration limit reached.")
+
+        monkeypatch.setattr(tg.polytope, "linprog", failing_linprog)
+        code = main(["validate", "--kb", kb_file, "--samples", "10", "t => a | b @ 2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: Chebyshev-center LP failed")
+        assert calls == ["highs"]
+
     def test_infeasible_grid_point(self, tmp_path, capsys):
         path = tmp_path / "contradiction.rules"
         path.write_text(CONTRADICTION_TEXT)
@@ -376,3 +396,67 @@ class TestValidate:
         )
         assert code == 1
         assert "0.3" in capsys.readouterr().err
+
+
+class TestProcess:
+    """The command line as its own process."""
+
+    SYMBOLIC = [
+        ["check"],
+        ["query", "t => a | b @ 2"],
+        ["rarity", "~a & ~b"],
+        ["depthmap"],
+        ["explain"],
+        ["zplus", "to"],
+    ]
+
+    def test_symbolic_commands_load_neither_numpy_nor_scipy(self, kb_file):
+        script = f"""
+import contextlib, io, sys
+
+def loaded():
+    return sorted({{name.split(".")[0] for name in sys.modules}} & {{"numpy", "scipy"}})
+
+import threshgen
+print("import", loaded())
+from threshgen.cli import main
+for command in {self.SYMBOLIC!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command[0], "--kb", {kb_file!r}, *command[1:]])
+    print(command[0], code, loaded())
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            check=True,
+        )
+        expected = ["import []"] + [f"{command[0]} 0 []" for command in self.SYMBOLIC]
+        assert done.stdout.splitlines() == expected
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["query", "t => a | b @ 2"], 0),
+            (["query", "t => a | b @ 3"], 3),
+            (["depthmap"], 0),
+        ],
+        ids=["entailed", "not-entailed", "depthmap"],
+    )
+    def test_closed_stdout_keeps_the_exit_code(self, kb_file, argv, code, buffered):
+        env = child_env(PYTHONUNBUFFERED="" if buffered else "1")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "threshgen.cli", argv[0], "--kb", kb_file, *argv[1:]],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == code
+        assert done.stderr == b""
