@@ -272,7 +272,8 @@ def _render(node, parent_prec: int) -> str:
         if len(terms) == 1:
             text = terms[0]
             return f"({text})" if parent_prec > _PREC["and"] and " " in text else text
-        text = " | ".join(f"({t})" if " & " in t else t for t in terms)
+        # & binds tighter than |, so conjunction terms need no parentheses.
+        text = " | ".join(terms)
         return f"({text})" if parent_prec > _PREC["or"] else text
     kind = node[0]
     if kind == "const":

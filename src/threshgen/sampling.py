@@ -17,7 +17,7 @@ single (center) point is returned n times, flagged degenerate; width-zero
 polytopes with extent in some direction would collapse the same way, but
 only arise from exact parameter coincidences.
 
-The walk draws its normals and uniforms in whole blocks of 4096 steps,
+The walk draws its normals and uniforms in whole chunks of 512 steps,
 so the randomness feeding each step depends on the seed alone: a chain is
 reproducible bit-for-bit for a fixed seed, and a longer run extends a
 shorter one exactly.
@@ -62,15 +62,14 @@ PSI_SWEEP = (1.0, 0.5, 2.0)
 SUPPORT_MARGIN = 0.3
 REFUTE_MARGIN = 0.7
 
-_BLOCK = 4096
-# Steps whose chord directions are projected onto the rows in one matmul
-# per chain; 512 keeps the chunk's projections near 1 MB per 256 walked
-# coordinates.
+# Steps drawn at once from each chain's generator and projected onto the
+# rows in one matmul per chain; 512 keeps the chunk's projections near
+# 1 MB per 256 walked coordinates.
 _CHUNK = 512
 _DEGENERATE_RADIUS = 1e-12
 # Coordinates walked in lockstep: a group of chains of dimension q holds
-# at most _LOCKSTEP_WIDTH // q of them, so its block of normals is never
-# larger than one 256-coordinate chain's.
+# at most _LOCKSTEP_WIDTH // q of them, so its (K, n, dimension) points
+# and its chunk buffers are never larger than one 256-coordinate chain's.
 _LOCKSTEP_WIDTH = 256
 
 
@@ -100,7 +99,8 @@ def _walk(
     uniforms: np.ndarray,
     out: np.ndarray,
 ) -> None:
-    """Run K hit-and-run chains in lockstep, uniforms.shape[1] steps each.
+    """Run K hit-and-run chains in lockstep through one chunk of steps,
+    uniforms.shape[1] steps each.
 
     Chain k walks from y[k] inside rows[k] @ y <= rhs[k]: step s moves
     along normals[k, s], the chord through the current point is cut by
@@ -113,8 +113,8 @@ def _walk(
     Each chain does exactly the floating-point operations it would do
     alone, so K chains in one call give the same points, bit for bit, as
     K calls of one chain. The chord directions are projected with one
-    matmul per chain over whole 512-row chunks (normals may hold more rows
-    than steps are taken), so a partial block repeats the arithmetic of
+    matmul per chain over every row of normals, which may hold more rows
+    than steps are taken, so a partial chunk repeats the arithmetic of
     the start of a full one. The rows that bound a chord are found for
     all chains at once: the slack is divided by a NaN-masked array of the
     rising rows and the negated falling rows, and one fmin reduction gives
@@ -127,38 +127,34 @@ def _walk(
     moves = np.zeros((steps, chains, 1))
     slack = np.array([b - a @ x for a, b, x in zip(rows, rhs, y)])
     slack_by_side = slack[:, None, :]
-    along = np.empty((_CHUNK, chains, m))
-    ends = np.empty((_CHUNK, chains, 2, m))
+    along = np.empty((normals.shape[1], chains, m))
+    for k in range(chains):
+        along[:, k] = normals[k] @ rows[k].T
+    ends = np.empty((len(along), chains, 2, m))
     ratio = np.empty((chains, 2, m))
     bounds = np.empty((chains, 2))
     inf = math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, steps, _CHUNK):
-            directions = normals[:, start : start + _CHUNK]
-            for k in range(chains):
-                along[: directions.shape[1], k] = directions[k] @ rows[k].T
-            # Rising rows bound the chord above and falling rows below.
-            # Every other entry is 0/False = NaN, which the fmin reduction
-            # skips; a bounding entry is 0/True = 0 plus its exact value.
-            np.divide(0.0, along > 0.0, out=ends[:, :, 0])
-            np.divide(0.0, along < 0.0, out=ends[:, :, 1])
-            ends[:, :, 0] += along
-            ends[:, :, 1] -= along
-            picks = uniforms[:, start : start + _CHUNK].T.tolist()
-            for chain_picks, step_ends, step_along, moved in zip(
-                picks, ends, along, moves[start : start + _CHUNK]
-            ):
-                np.divide(slack_by_side, step_ends, out=ratio)
-                np.fmin.reduce(ratio, axis=2, out=bounds)
-                for k, ((hi, low), u) in enumerate(zip(bounds.tolist(), chain_picks)):
-                    lo = -low
-                    # A bounded polytope yields finite chords; the guard
-                    # keeps a pathological direction (or a side with no
-                    # bounding row, which reduces to NaN) from poisoning
-                    # the walk.
-                    if -inf < lo <= hi < inf:
-                        moved[k] = lo + u * (hi - lo)
-                slack -= moved * step_along
+        # Rising rows bound the chord above and falling rows below. Every
+        # other entry is 0/False = NaN, which the fmin reduction skips; a
+        # bounding entry is 0/True = 0 plus its exact value.
+        np.divide(0.0, along > 0.0, out=ends[:, :, 0])
+        np.divide(0.0, along < 0.0, out=ends[:, :, 1])
+        ends[:, :, 0] += along
+        ends[:, :, 1] -= along
+        for chain_picks, step_ends, step_along, moved in zip(
+            uniforms.T.tolist(), ends, along, moves
+        ):
+            np.divide(slack_by_side, step_ends, out=ratio)
+            np.fmin.reduce(ratio, axis=2, out=bounds)
+            for k, ((hi, low), u) in enumerate(zip(bounds.tolist(), chain_picks)):
+                lo = -low
+                # A bounded polytope yields finite chords; the guard keeps
+                # a pathological direction (or a side with no bounding
+                # row, which reduces to NaN) from poisoning the walk.
+                if -inf < lo <= hi < inf:
+                    moved[k] = lo + u * (hi - lo)
+            slack -= moved * step_along
     # Adding y to the first row before the running sum keeps the additions
     # in walk order.
     np.multiply(moves.transpose(1, 0, 2), normals[:, :steps], out=out)
@@ -181,11 +177,14 @@ def _lockstep(
     each with its own seed, in lockstep; return the (K, n, dimension)
     models after burn_in steps. The spaces must share rows.shape.
 
-    Every chain draws whole blocks of normals and uniforms from its own
-    generator, as a lone chain does, so a chain's points do not depend on
-    which other chains walk beside it. A normal z steps along z - mean(z),
-    isotropic in the plane sum(x) = 1, so the target stays uniform; each
-    block starts by putting the chain's point back on that plane.
+    Each chunk, every chain draws its normals and then its uniforms from
+    its own generator, as a lone chain does, so a chain's points do not
+    depend on which other chains walk beside it. A whole chunk is drawn
+    even when fewer steps remain, so the randomness feeding step t
+    depends on the seed alone and a longer run with the same seed extends
+    a shorter one exactly. A normal z steps along z - mean(z), isotropic
+    in the plane sum(x) = 1, so the target stays uniform; each chunk
+    starts by putting the chain's point back on that plane.
     """
     chains = len(spaces)
     q = spaces[0].rows.shape[1]
@@ -194,38 +193,33 @@ def _lockstep(
     y = np.stack([space.center for space in spaces])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     points = np.zeros((chains, n, dimension))
-    total = burn_in + n
-    done = 0
-    while done < total:
-        take = min(_BLOCK, total - done)
-        # Whole blocks are always drawn, even when only part is stepped,
-        # so the randomness feeding step t depends on the seed alone: a
-        # longer run with the same seed extends a shorter one exactly.
-        # Only the chunks the walk steps through are kept.
-        kept = -(-take // _CHUNK) * _CHUNK
-        normals = np.empty((chains, kept, q))
-        uniforms = np.empty((chains, take))
-        for k, rng in enumerate(rngs):
-            normals[k] = rng.standard_normal((_BLOCK, q))[:kept]
-            uniforms[k] = rng.random(_BLOCK)[:take]
+    normals = np.empty((chains, _CHUNK, q))
+    uniforms = np.empty((chains, _CHUNK))
+    # Step indices count from -burn_in, so the stored ones are those >= 0.
+    for start in range(-burn_in, n, _CHUNK):
+        for rng, chain_normals, chain_uniforms in zip(rngs, normals, uniforms):
+            rng.standard_normal(out=chain_normals)
+            rng.random(out=chain_uniforms)
         normals -= normals.mean(axis=2, keepdims=True)
         y += (1.0 - y.sum(axis=1, keepdims=True)) / q
-        visited = normals[:, :take]
-        _walk(rows, rhs, y, normals, uniforms, visited)
-        first_wanted = max(done, burn_in)
-        if done + take > first_wanted:
-            stored = slice(first_wanted - burn_in, done + take - burn_in)
+        steps = min(_CHUNK, n - start)
+        visited = normals[:, :steps]
+        _walk(rows, rhs, y, normals, uniforms[:, :steps], visited)
+        first = max(-start, 0)
+        if first < steps:
+            stored = slice(start + first, start + steps)
             for k, space in enumerate(spaces):
-                points[k][stored, space.keep] = visited[k, first_wanted - done :]
-        done += take
+                points[k][stored, space.keep] = visited[k, first:]
     return points
 
 
-def _check_run(n: int, burn_in: int) -> None:
+def _check_run(n: int, burn_in: int, seed: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
 
 
 def sample_uniform(
@@ -243,7 +237,7 @@ def sample_uniform(
     a single point (radius 0) yields that point n times with
     degenerate=True.
     """
-    _check_run(n, burn_in)
+    _check_run(n, burn_in, seed)
     space = _walkspace(system)
     if space.radius <= _DEGENERATE_RADIUS:
         return UniformSample(_fixed_points(space, n, system.dimension), degenerate=True)
@@ -364,9 +358,7 @@ def scaling_verdict(
         raise ValueError("delta grid must be strictly decreasing")
     if not all(0 < d < 1 for d in grid):
         raise ValueError(f"every grid delta must lie in (0, 1), got {grid!r}")
-    _check_run(n, burn_in)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    _check_run(n, burn_in, seed)
     sweep = list(product(PSI_SWEEP, grid))
     seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
     dimension = kb.signature.atom_count

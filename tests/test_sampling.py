@@ -16,7 +16,7 @@ from support import (
 )
 from threshgen import sampling
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _walk
+from threshgen.sampling import _lockstep, _walk
 
 A1 = tg.Signature(("a",))
 AB = tg.Signature(("a", "b"))
@@ -99,9 +99,9 @@ class TestWalkKernel:
         assert np.array_equal(y, out[:, -1])
 
     def test_lockstep_chains_equal_lone_chains(self):
-        # Different polytopes of one shape, over more than one 512-step
-        # chunk and ending inside a chunk: each chain of the K-chain call
-        # must be bit-identical to the same chain walked alone.
+        # Different polytopes of one shape, stepping fewer times than the
+        # normals hold rows: each chain of the K-chain call must be
+        # bit-identical to the same chain walked alone.
         steps = 1100
         problems = [
             walk_inputs(seed, steps=1536, dim=4, cut=cut)
@@ -144,8 +144,9 @@ class TestSampleUniform:
 
     def test_longer_run_extends_shorter(self):
         # The random stream is consumed identically, so a longer run with
-        # the same seed must reproduce the shorter one as a prefix; this
-        # exercises the block-boundary bookkeeping.
+        # the same seed must reproduce the shorter one as a prefix; burn-in
+        # ends inside a 512-step chunk and the shorter run ends inside
+        # another.
         kb = two_rule_chain_kb()
         system = tg.build_polytope(
             kb, tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
@@ -153,6 +154,24 @@ class TestSampleUniform:
         short = tg.sample_uniform(system, 2000, burn_in=999, seed=5)
         long = tg.sample_uniform(system, 6000, burn_in=999, seed=5)
         assert np.array_equal(long.points[:2000], short.points)
+
+    def test_lockstep_group_equals_lone_chains_across_chunks(self):
+        # Burn-in ends inside the second 512-step chunk and the walk ends
+        # inside the fourth, so the group crosses every kind of chunk
+        # boundary; each chain must still be bit-identical alone.
+        kb = two_rule_chain_kb()
+        spaces = [
+            _walkspace(
+                tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0, 1.0), delta=d))
+            )
+            for d in (0.1, 0.05, 0.025)
+        ]
+        assert len({space.rows.shape for space in spaces}) == 1
+        seeds = [17, 18, 19]
+        together = _lockstep(spaces, seeds, 1100, 700, AB.atom_count)
+        for space, seed, points in zip(spaces, seeds, together):
+            (alone,) = _lockstep([space], [seed], 1100, 700, AB.atom_count)
+            assert np.array_equal(points, alone)
 
     def test_samples_satisfy_constraints(self):
         rng = np.random.default_rng(40)
@@ -257,6 +276,8 @@ class TestSampleUniform:
             tg.sample_uniform(system, 0)
         with pytest.raises(ValueError):
             tg.sample_uniform(system, 10, burn_in=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            tg.sample_uniform(system, 10, seed=-1)
 
 
 class TestExceptionRate:
@@ -365,9 +386,9 @@ class TestExactQuantile:
 
     def test_walk_quantiles_are_calibrated(self):
         # Measured over seeds 0-19 at n = 20000: the walk's quantile lies
-        # within 4.7% of the exact one on the two-rule chain's grid, and
-        # within 23% on the three-name chain, whose quantile moves by
-        # about 9% (one standard deviation) between seeds.
+        # within 3.8% of the exact one on the two-rule chain's grid, and
+        # within 16.4% on the three-name chain, whose quantile moves by
+        # about 8.5% (one standard deviation) between seeds.
         kb = two_rule_chain_kb()
         query = rule(AB, "true", "a | b", 2)
         for delta, expected in zip(self.CHAIN_GRID, self.CHAIN_QUANTILES):
@@ -504,12 +525,14 @@ class TestScalingVerdict:
         query = rule(AB, "true", "a | b", 2)
         cases = [
             (dict(n=0), "n must be at least 1"),
-            (dict(burn_in=-1), "burn_in must be non-negative"),
-            (dict(seed=-1), "seed must be non-negative"),
+            (dict(n=100, burn_in=-1), "burn_in must be non-negative"),
+            (dict(n=100, seed=-1), "seed must be non-negative"),
         ]
         for kwargs, message in cases:
             with pytest.raises(ValueError, match=message):
                 tg.scaling_verdict(kb, query, self.GRID, params, **kwargs)
+            with pytest.raises(ValueError, match=message):
+                tg.conclusion_quantile(kb, params, query, **kwargs)
         for grid in ((0.1, 0.05, 0.0), (0.1, 0.05, -0.5), (1.5, 0.5, 0.1)):
             with pytest.raises(ValueError, match=r"\(0, 1\)"):
                 tg.scaling_verdict(kb, query, grid, params, n=100)
