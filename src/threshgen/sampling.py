@@ -23,13 +23,17 @@ reproducible bit-for-bit for a fixed seed, and a longer run extends a
 shorter one exactly.
 
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
-its own polytope and with its own random stream; sample_uniform is the
-K = 1 case. scaling_verdict walks consecutive grid points whose polytopes
-have the same shape together, at most 256 coordinates per group, which
-pays NumPy's per-call cost once per step for the group instead of once per
-chain. Every chain does exactly the arithmetic it would do alone, so its
-points, and hence every quantile and verdict, are bit-identical to
-sampling that grid point by itself.
+its own polytope and with its own random stream, and hands its visited
+points back one chunk at a time. sample_uniform is the K = 1 case and
+scatters the chunks into its (n, dimension) points. scaling_verdict walks
+consecutive grid points whose polytopes have the same shape together, at
+most 1024 coordinates per group, which pays NumPy's per-call cost once per
+step for the group instead of once per chain; it turns each chunk into
+exception rates at once, so a group holds (K, n) rates and no points.
+conclusion_quantile reads its one chain the same way. Every chain does
+exactly the arithmetic it would do alone, so its points, and hence every
+quantile and verdict, are bit-identical to sampling that grid point by
+itself.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,11 +70,16 @@ REFUTE_MARGIN = 0.7
 # rows in one matmul per chain; 512 keeps the chunk's projections near
 # 1 MB per 256 walked coordinates.
 _CHUNK = 512
+# Steps whose chord ends are divided out at once: the (64, K, 2, m) ends
+# buffer is an eighth of a whole chunk's.
+_SLICE = 64
 _DEGENERATE_RADIUS = 1e-12
 # Coordinates walked in lockstep: a group of chains of dimension q holds
-# at most _LOCKSTEP_WIDTH // q of them, so its (K, n, dimension) points
-# and its chunk buffers are never larger than one 256-coordinate chain's.
-_LOCKSTEP_WIDTH = 256
+# at most _LOCKSTEP_WIDTH // q of them, so its (K, 512, q) normals, the
+# projections of the normals on its K (m, q) constraint rows and those
+# rows themselves (m = q plus the rule rows) stay near 4 MB, 4 MB and
+# 2 MB. A group keeps (K, n) exception rates, not its models.
+_LOCKSTEP_WIDTH = 1024
 
 
 @dataclass(eq=False)
@@ -92,8 +101,8 @@ class UniformSample:
 
 
 def _walk(
-    rows: np.ndarray,
-    rhs: np.ndarray,
+    rows: Sequence[np.ndarray],
+    rhs: Sequence[np.ndarray],
     y: np.ndarray,
     normals: np.ndarray,
     uniforms: np.ndarray,
@@ -102,9 +111,10 @@ def _walk(
     """Run K hit-and-run chains in lockstep through one chunk of steps,
     uniforms.shape[1] steps each.
 
-    Chain k walks from y[k] inside rows[k] @ y <= rhs[k]: step s moves
-    along normals[k, s], the chord through the current point is cut by
-    every constraint row, and uniforms[k, s] picks the next point on it.
+    Chain k walks from y[k] inside rows[k] @ y <= rhs[k], each rows[k]
+    of the same shape (m, q): step s moves along normals[k, s], the chord
+    through the current point is cut by every constraint row, and
+    uniforms[k, s] picks the next point on it.
     A uniform point of a chord does not depend on the direction's length,
     so the normals are used unnormalized. A numerically empty chord
     (hi < lo) keeps the chain in place rather than stepping outside.
@@ -115,46 +125,54 @@ def _walk(
     K calls of one chain. The chord directions are projected with one
     matmul per chain over every row of normals, which may hold more rows
     than steps are taken, so a partial chunk repeats the arithmetic of
-    the start of a full one. The rows that bound a chord are found for
-    all chains at once: the slack is divided by a NaN-masked array of the
-    rising rows and the negated falling rows, and one fmin reduction gives
-    hi and -lo. The step length itself is plain float arithmetic per
-    chain. out may be normals[:, :steps]: the directions are read before
-    the visited points are written over them.
+    the start of a full one; BLAS may round a row of a shorter product
+    differently, so the product is never split. The rows that bound a
+    chord are found for all chains at once, 64 steps at a time: the slack
+    is divided by a NaN-masked array of the rising rows and the negated
+    falling rows, and one fmin reduction gives hi and -lo. The step length
+    itself is plain float arithmetic per chain. out may be
+    normals[:, :steps]: the directions are read before the visited points
+    are written over them.
     """
     chains, steps = uniforms.shape
-    m = rows.shape[1]
+    m = len(rows[0])
     moves = np.zeros((steps, chains, 1))
     slack = np.array([b - a @ x for a, b, x in zip(rows, rhs, y)])
     slack_by_side = slack[:, None, :]
-    along = np.empty((normals.shape[1], chains, m))
+    along = np.empty((chains, normals.shape[1], m))
     for k in range(chains):
-        along[:, k] = normals[k] @ rows[k].T
-    ends = np.empty((len(along), chains, 2, m))
+        np.matmul(normals[k], rows[k].T, out=along[k])
+    ends = np.empty((_SLICE, chains, 2, m))
     ratio = np.empty((chains, 2, m))
     bounds = np.empty((chains, 2))
+    picks = uniforms.T.tolist()
     inf = math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Rising rows bound the chord above and falling rows below. Every
-        # other entry is 0/False = NaN, which the fmin reduction skips; a
-        # bounding entry is 0/True = 0 plus its exact value.
-        np.divide(0.0, along > 0.0, out=ends[:, :, 0])
-        np.divide(0.0, along < 0.0, out=ends[:, :, 1])
-        ends[:, :, 0] += along
-        ends[:, :, 1] -= along
-        for chain_picks, step_ends, step_along, moved in zip(
-            uniforms.T.tolist(), ends, along, moves
-        ):
-            np.divide(slack_by_side, step_ends, out=ratio)
-            np.fmin.reduce(ratio, axis=2, out=bounds)
-            for k, ((hi, low), u) in enumerate(zip(bounds.tolist(), chain_picks)):
-                lo = -low
-                # A bounded polytope yields finite chords; the guard keeps
-                # a pathological direction (or a side with no bounding
-                # row, which reduces to NaN) from poisoning the walk.
-                if -inf < lo <= hi < inf:
-                    moved[k] = lo + u * (hi - lo)
-            slack -= moved * step_along
+        for first in range(0, steps, _SLICE):
+            last = min(first + _SLICE, steps)
+            slice_along = along[:, first:last].transpose(1, 0, 2)
+            slice_ends = ends[: last - first]
+            # Rising rows bound the chord above and falling rows below.
+            # Every other entry is 0/False = NaN, which the fmin reduction
+            # skips; a bounding entry is 0/True = 0 plus its exact value.
+            np.divide(0.0, slice_along > 0.0, out=slice_ends[:, :, 0])
+            np.divide(0.0, slice_along < 0.0, out=slice_ends[:, :, 1])
+            slice_ends[:, :, 0] += slice_along
+            slice_ends[:, :, 1] -= slice_along
+            for chain_picks, step_ends, step_along, moved in zip(
+                picks[first:last], slice_ends, slice_along, moves[first:last]
+            ):
+                np.divide(slack_by_side, step_ends, out=ratio)
+                np.fmin.reduce(ratio, axis=2, out=bounds)
+                for k, ((hi, low), u) in enumerate(zip(bounds.tolist(), chain_picks)):
+                    lo = -low
+                    # A bounded polytope yields finite chords; the guard
+                    # keeps a pathological direction (or a side with no
+                    # bounding row, which reduces to NaN) from poisoning
+                    # the walk.
+                    if -inf < lo <= hi < inf:
+                        moved[k] = lo + u * (hi - lo)
+                slack -= moved * step_along
     # Adding y to the first row before the running sum keeps the additions
     # in walk order.
     np.multiply(moves.transpose(1, 0, 2), normals[:, :steps], out=out)
@@ -171,11 +189,15 @@ def _fixed_points(space: _Walkspace, n: int, dimension: int) -> np.ndarray:
 
 
 def _lockstep(
-    spaces: list[_Walkspace], seeds, n: int, burn_in: int, dimension: int
-) -> np.ndarray:
+    spaces: list[_Walkspace], seeds, n: int, burn_in: int
+) -> Iterator[tuple[slice, np.ndarray]]:
     """Walk every space from its Chebyshev center, one chain per space and
-    each with its own seed, in lockstep; return the (K, n, dimension)
-    models after burn_in steps. The spaces must share rows.shape.
+    each with its own seed, in lockstep, and yield the walk one chunk at a
+    time as (stored, visited) after burn_in steps: visited[k] holds chain
+    k's models over its space's kept atoms for the sample indices in the
+    slice stored. The spaces must share rows.shape. visited is a (K, L, q)
+    view of a buffer that the next chunk overwrites, so read it before
+    asking for the next.
 
     Each chunk, every chain draws its normals and then its uniforms from
     its own generator, as a lone chain does, so a chain's points do not
@@ -186,15 +208,13 @@ def _lockstep(
     in the plane sum(x) = 1, so the target stays uniform; each chunk
     starts by putting the chain's point back on that plane.
     """
-    chains = len(spaces)
     q = spaces[0].rows.shape[1]
-    rows = np.stack([space.rows for space in spaces])
-    rhs = np.stack([space.rhs for space in spaces])
+    rows = [space.rows for space in spaces]
+    rhs = [space.rhs for space in spaces]
     y = np.stack([space.center for space in spaces])
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    points = np.zeros((chains, n, dimension))
-    normals = np.empty((chains, _CHUNK, q))
-    uniforms = np.empty((chains, _CHUNK))
+    normals = np.empty((len(spaces), _CHUNK, q))
+    uniforms = np.empty((len(spaces), _CHUNK))
     # Step indices count from -burn_in, so the stored ones are those >= 0.
     for start in range(-burn_in, n, _CHUNK):
         for rng, chain_normals, chain_uniforms in zip(rngs, normals, uniforms):
@@ -207,10 +227,7 @@ def _lockstep(
         _walk(rows, rhs, y, normals, uniforms[:, :steps], visited)
         first = max(-start, 0)
         if first < steps:
-            stored = slice(start + first, start + steps)
-            for k, space in enumerate(spaces):
-                points[k][stored, space.keep] = visited[k, first:]
-    return points
+            yield slice(start + first, start + steps), visited[:, first:]
 
 
 def _check_run(n: int, burn_in: int, seed: int) -> None:
@@ -241,8 +258,15 @@ def sample_uniform(
     space = _walkspace(system)
     if space.radius <= _DEGENERATE_RADIUS:
         return UniformSample(_fixed_points(space, n, system.dimension), degenerate=True)
-    (points,) = _lockstep([space], [seed], n, burn_in, system.dimension)
+    points = np.zeros((n, system.dimension))
+    for stored, visited in _lockstep([space], [seed], n, burn_in):
+        points[stored, space.keep] = visited[0]
     return UniformSample(points=points, degenerate=False)
+
+
+def _rates(mass_gamma: np.ndarray, mass_both: np.ndarray) -> np.ndarray:
+    safe = np.where(mass_gamma > 0.0, mass_gamma, 1.0)
+    return np.where(mass_gamma > 0.0, 1.0 - mass_both / safe, 0.0)
 
 
 def exception_rate(
@@ -254,10 +278,46 @@ def exception_rate(
     when gamma has no mass: such models never witness an exception.
     """
     dimension = points.shape[1]
-    mass_gamma = points @ indicator(gamma.mask, dimension)
-    mass_both = points @ indicator((gamma & zeta).mask, dimension)
-    safe = np.where(mass_gamma > 0.0, mass_gamma, 1.0)
-    return np.where(mass_gamma > 0.0, 1.0 - mass_both / safe, 0.0)
+    return _rates(
+        points @ indicator(gamma.mask, dimension),
+        points @ indicator((gamma & zeta).mask, dimension),
+    )
+
+
+class _Readout:
+    """Exception rates of one query read straight off the walk.
+
+    Each space's models are read over its kept atoms, against the
+    antecedent's and the conjunction's indicators restricted to them, so
+    a chunk of visited points becomes rates without being scattered back
+    to full models. scaling_verdict and conclusion_quantile both read
+    through this, so a grid point's quantile does not depend on which
+    of them sampled it.
+    """
+
+    def __init__(self, query: Generalization, dimension: int) -> None:
+        gamma = query.antecedent
+        self.weights = np.stack(
+            [
+                indicator(gamma.mask, dimension),
+                indicator((gamma & query.consequent).mask, dimension),
+            ],
+            axis=1,
+        )
+
+    def fixed(self, space: _Walkspace) -> float:
+        """The rate at the space's single (central) point."""
+        mass_gamma, mass_both = space.center @ self.weights[space.keep]
+        return float(_rates(mass_gamma, mass_both))
+
+    def walked(self, spaces: list[_Walkspace], seeds, n: int, burn_in: int) -> np.ndarray:
+        """(K, n) rates over the spaces' lockstep walks."""
+        weights = np.stack([self.weights[space.keep] for space in spaces])
+        rates = np.empty((len(spaces), n))
+        for stored, visited in _lockstep(spaces, seeds, n, burn_in):
+            masses = np.matmul(visited, weights)
+            rates[:, stored] = _rates(masses[..., 0], masses[..., 1])
+        return rates
 
 
 def empirical_quantile(values: np.ndarray, eta: float) -> float:
@@ -281,9 +341,14 @@ def conclusion_quantile(
     seed: int = 0,
 ) -> float:
     """Empirical (1 - params.eta)-quantile of 1 - pi(zeta|gamma) over
-    models sampled uniformly from the kb polytope at params."""
-    sample = sample_uniform(build_polytope(kb, params), n, burn_in, seed)
-    rates = exception_rate(sample.points, query.antecedent, query.consequent)
+    models sampled uniformly from the kb polytope at params, as
+    sample_uniform would draw them."""
+    _check_run(n, burn_in, seed)
+    space = _walkspace(build_polytope(kb, params))
+    readout = _Readout(query, kb.signature.atom_count)
+    if space.radius <= _DEGENERATE_RADIUS:
+        return readout.fixed(space)
+    (rates,) = readout.walked([space], [seed], n, burn_in)
     return empirical_quantile(rates, params.eta)
 
 
@@ -346,10 +411,13 @@ def scaling_verdict(
     delta, since quantiles of an empty model set mean nothing.
 
     Each grid point is sampled with its own seed, drawn from seed, exactly
-    as conclusion_quantile would sample it alone. Consecutive points whose
-    polytopes have the same shape walk in lockstep, up to 256
-    coordinates at a time, which changes no sample. n, burn_in, seed and
-    the grid are checked before any polytope is built.
+    as conclusion_quantile would sample it alone, and its rates are read
+    the same way. Consecutive points whose polytopes have the same shape
+    walk in lockstep, up to 1024 coordinates at a time, which changes no
+    sample; each walked chunk becomes rates at once, so a group holds
+    (K, n) rates and no models. A single-point polytope contributes the
+    rate at its point, the quantile of n copies of it. n, burn_in, seed
+    and the grid are checked before any polytope is built.
     """
     grid = tuple(float(d) for d in delta_grid)
     if len(grid) < 3:
@@ -361,18 +429,14 @@ def scaling_verdict(
     _check_run(n, burn_in, seed)
     sweep = list(product(PSI_SWEEP, grid))
     seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
-    dimension = kb.signature.atom_count
+    readout = _Readout(query, kb.signature.atom_count)
     quantiles = [0.0] * len(sweep)
-
-    def record(at: int, models: np.ndarray) -> None:
-        rates = exception_rate(models, query.antecedent, query.consequent)
-        quantiles[at] = empirical_quantile(rates, params.eta)
 
     def walk(group: list[tuple[int, _Walkspace]]) -> None:
         spaces = [space for _, space in group]
         chosen = [int(seeds[at]) for at, _ in group]
-        for (at, _), models in zip(group, _lockstep(spaces, chosen, n, burn_in, dimension)):
-            record(at, models)
+        for (at, _), rates in zip(group, readout.walked(spaces, chosen, n, burn_in)):
+            quantiles[at] = empirical_quantile(rates, params.eta)
 
     group = []
     for at, (scale, delta) in enumerate(sweep):
@@ -385,7 +449,7 @@ def scaling_verdict(
                 " the scaling fit is undefined"
             ) from err
         if space.radius <= _DEGENERATE_RADIUS:
-            record(at, _fixed_points(space, n, dimension))
+            quantiles[at] = readout.fixed(space)
             continue
         if group and (
             space.rows.shape != group[0][1].rows.shape

@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 import threshgen as tg
 from threshgen.polytope import _walkspace
+from threshgen.sampling import _lockstep
 
 
 def child_env(**overrides):
@@ -90,6 +91,19 @@ def reference_walk(rows, rhs, y, normals, uniforms, out):
             if np.isfinite(lo) and np.isfinite(hi) and hi >= lo:
                 y += (lo + uniforms[step] * (hi - lo)) * unit
         out[step] = y
+
+
+def lockstep_points(spaces, seeds, n, burn_in):
+    """The (K, n, q) points of _lockstep's chunks, checking on the way
+    that the chunks hand back sample indices 0..n-1 in order."""
+    points = np.empty((len(spaces), n, spaces[0].rows.shape[1]))
+    end = 0
+    for stored, visited in _lockstep(spaces, seeds, n, burn_in):
+        assert stored.start == end and visited.shape[:2] == (len(spaces), stored.stop - end)
+        points[:, stored] = visited
+        end = stored.stop
+    assert end == n
+    return points
 
 
 def per_point_quantiles(kb, query, grid, params, n, seed, burn_in):
@@ -236,8 +250,8 @@ def subset_sums(values):
 def brute_force_atom_depths(kb, fixpoint):
     """Pointwise-minimal atom-depth vector satisfying every rule.
 
-    Exhaustively enumerates assignments of a depth to each atom, keeps
-    those where every rule i satisfies
+    Exhaustively searches assignments of a depth to each atom for those
+    where every rule i satisfies
 
         depth(exception_i) >= depth(antecedent_i) + k_i
 
@@ -248,6 +262,17 @@ def brute_force_atom_depths(kb, fixpoint):
     engine can assign is a sum of distinct rule thresholds, since each
     finite atom depth is some antecedent's depth plus that rule's
     threshold and depths strictly decrease along that recursion.
+
+    Atoms in no antecedent appear in no constraint, so every survivor can
+    give them any value and their minimum is 0. The others are assigned
+    one at a time, those in the most antecedents first, and a partial
+    assignment is dropped as soon as its best completion breaks a rule.
+    The exception atoms of a rule are its antecedent atoms outside the
+    consequent, so raising one can only help the rule and lowering one of
+    its other antecedent atoms can only help it too: the best completion
+    sets the unassigned exception atoms to inf and the rule's other
+    unassigned antecedent atoms to 0. Once every atom is placed that is
+    the rule itself, so the search drops nothing that could survive.
     """
     thresholds = kb.finite_thresholds()
     if len(thresholds) != kb.size:
@@ -255,30 +280,46 @@ def brute_force_atom_depths(kb, fixpoint):
     values = np.array(
         [s for s in subset_sums(thresholds) if s <= fixpoint] + [np.inf]
     )
-    n_values = len(values)
     n_atoms = kb.signature.atom_count
-    total = n_values**n_atoms
-    radix = n_values ** np.arange(n_atoms, dtype=np.int64)
-    columns = [
+    rules = [
         (
-            [i for i in range(n_atoms) if (rule.exception().mask >> i) & 1],
-            [i for i in range(n_atoms) if (rule.antecedent.mask >> i) & 1],
+            {i for i in range(n_atoms) if (rule.exception().mask >> i) & 1},
+            {i for i in range(n_atoms) if (rule.antecedent.mask >> i) & 1},
             rule.threshold,
         )
         for rule in kb.rules
     ]
-    best = np.full(n_atoms, np.inf)
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        index = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        depths = values[(index[:, None] // radix) % n_values]
-        ok = np.ones(len(index), dtype=bool)
-        for exc_cols, ant_cols, threshold in columns:
-            d_exc = depths[:, exc_cols].min(axis=1) if exc_cols else np.inf
-            d_ant = depths[:, ant_cols].min(axis=1) if ant_cols else np.inf
+    order = sorted(
+        (i for i in range(n_atoms) if any(i in ant for _, ant, _ in rules)),
+        key=lambda i: -sum(i in ant for _, ant, _ in rules),
+    )
+    # Row r of survivors holds depths of order[:placed].
+    survivors = np.zeros((1, 0))
+    for placed in range(1, len(order) + 1):
+        survivors = np.hstack(
+            [
+                np.repeat(survivors, len(values), axis=0),
+                np.tile(values, len(survivors))[:, None],
+            ]
+        )
+        ok = np.ones(len(survivors), dtype=bool)
+        for exc, ant, threshold in rules:
+            exc_cols = [p for p, i in enumerate(order[:placed]) if i in exc]
+            other_cols = [p for p, i in enumerate(order[:placed]) if i in ant - exc]
+            d_exc = np.full(len(survivors), np.inf)
+            if exc_cols:
+                d_exc = survivors[:, exc_cols].min(axis=1)
+            d_ant = d_exc
+            if other_cols:
+                d_ant = np.minimum(d_ant, survivors[:, other_cols].min(axis=1))
+            if len(other_cols) < len(ant - exc):
+                d_ant = np.minimum(d_ant, 0.0)
             ok &= d_exc >= d_ant + threshold
-        if ok.any():
-            best = np.minimum(best, depths[ok].min(axis=0))
+        survivors = survivors[ok]
+    best = np.full(n_atoms, np.inf)
+    if len(survivors):
+        best[:] = 0.0
+        best[order] = survivors.min(axis=0)
     return best
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import threshgen as tg
-from support import NAMES
+from support import NAMES, lockstep_points
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _DEGENERATE_RADIUS, _fixed_points, _lockstep
+from threshgen.sampling import _DEGENERATE_RADIUS, _fixed_points
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -113,11 +113,10 @@ def test_sampled_points_lie_in_the_polytope(kb, delta, seed):
 def test_lockstep_group_equals_its_lone_chains(kb, delta, seed):
     spaces = walkspaces(kb, delta)
     shapes = {space.rows.shape for space in spaces}
-    dimension = kb.signature.atom_count
     for shape in shapes:
         group = [space for space in spaces if space.rows.shape == shape]
         seeds = [seed + k for k in range(len(group))]
-        together = _lockstep(group, seeds, 300, 50, dimension)
+        together = lockstep_points(group, seeds, 300, 50)
         for space, chain_seed, points in zip(group, seeds, together):
-            (alone,) = _lockstep([space], [chain_seed], 300, 50, dimension)
+            (alone,) = lockstep_points([space], [chain_seed], 300, 50)
             assert np.array_equal(points, alone)

@@ -1,6 +1,7 @@
 """Uniform polytope sampling and the quantile-scaling verdict."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import beta
 import threshgen as tg
 from support import (
     exact_quantile,
+    lockstep_points,
     per_point_quantiles,
     random_kb,
     random_proposition,
@@ -16,7 +18,7 @@ from support import (
 )
 from threshgen import sampling
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _lockstep, _walk
+from threshgen.sampling import _walk
 
 A1 = tg.Signature(("a",))
 AB = tg.Signature(("a", "b"))
@@ -168,9 +170,9 @@ class TestSampleUniform:
         ]
         assert len({space.rows.shape for space in spaces}) == 1
         seeds = [17, 18, 19]
-        together = _lockstep(spaces, seeds, 1100, 700, AB.atom_count)
+        together = lockstep_points(spaces, seeds, 1100, 700)
         for space, seed, points in zip(spaces, seeds, together):
-            (alone,) = _lockstep([space], [seed], 1100, 700, AB.atom_count)
+            (alone,) = lockstep_points([space], [seed], 1100, 700)
             assert np.array_equal(points, alone)
 
     def test_samples_satisfy_constraints(self):
@@ -502,18 +504,99 @@ class TestScalingVerdict:
         assert len(set(walked)) == 2
         assert len(walked) < len(spaces)
 
-    def test_wide_grid_splits_into_capped_groups(self):
-        # 5 names walk in 32 coordinates, so at most 8 chains share a
-        # group and the 12 grid points need two.
+    def test_readout_reads_each_chain_on_its_own_atoms(self):
+        # Two polytopes of one shape that keep different atoms (a & ~b,
+        # a & b against ~a & b, a & b): a group must read each chain
+        # against its own kept atoms, exactly as that chain alone.
+        params = tg.ParameterAssignment(psi=(1.0,), delta=0.1)
+        spaces = [
+            _walkspace(
+                tg.build_polytope(
+                    tg.KnowledgeBase(AB, (rule(AB, "true", name, tg.INFINITY),)), params
+                )
+            )
+            for name in ("a", "b")
+        ]
+        assert spaces[0].rows.shape == spaces[1].rows.shape
+        assert not np.array_equal(spaces[0].keep, spaces[1].keep)
+        readout = sampling._Readout(rule(AB, "true", "a", 1), AB.atom_count)
+        seeds = [3, 4]
+        together = readout.walked(spaces, seeds, 700, 100)
+        for space, seed, rates in zip(spaces, seeds, together):
+            (alone,) = readout.walked([space], [seed], 700, 100)
+            assert np.array_equal(rates, alone)
+        assert not together[0].any() and together[1].all()
+
+    def test_wide_grid_splits_into_capped_groups(self, monkeypatch):
+        # 7 names walk in 128 coordinates, so at most 8 chains share a
+        # group and the 12 points of a 4-delta grid need two.
+        signature = tg.Signature(("a", "b", "c", "d", "e", "g", "h"))
+        kb = tg.KnowledgeBase(
+            signature, tuple(rule(signature, "true", name, 1) for name in signature.names)
+        )
+        params = tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=0.1)
+        query = rule(signature, "true", "a & b", 1)
+        grid = self.GRID + (0.0125,)
+        groups = []
+        lockstep = sampling._lockstep
+
+        def spy(spaces, *args):
+            groups.append(len(spaces))
+            return lockstep(spaces, *args)
+
+        monkeypatch.setattr(sampling, "_lockstep", spy)
+        report = tg.scaling_verdict(kb, query, grid, params, n=300, seed=16, burn_in=100)
+        assert groups == [8, 4]
+        expected = per_point_quantiles(kb, query, grid, params, 300, 16, 100)
+        assert np.array_equal(report.quantiles, expected)
+
+    def test_verdict_holds_rates_not_models(self, monkeypatch):
+        # 5 names walk in 32 coordinates, so the 9 grid chains walk as one
+        # group. Their models at n = 20000 would take 46 MB held whole and
+        # 41 MB for 8 of them; the rates take 1.4 MB. The kernel is
+        # swapped for one that stays put: its own buffers are set by the
+        # width cap, not by n, and under tracemalloc the real one's
+        # 20000 steps take seconds.
+        def stay(rows, rhs, y, normals, uniforms, out):
+            out[:] = y[:, None]
+
+        monkeypatch.setattr(sampling, "_walk", stay)
         signature = tg.Signature(("a", "b", "c", "d", "e"))
         kb = tg.KnowledgeBase(
-            signature, tuple(rule(signature, "true", name, 1) for name in "abcde")
+            signature, tuple(rule(signature, "true", name, 1) for name in signature.names)
         )
-        params = tg.ParameterAssignment(psi=(1.0,) * 5, delta=0.1)
+        params = tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=0.1)
         query = rule(signature, "true", "a & b", 1)
-        report = tg.scaling_verdict(kb, query, self.GRID, params, n=300, seed=16, burn_in=100)
-        expected = per_point_quantiles(kb, query, self.GRID, params, 300, 16, 100)
-        assert np.array_equal(report.quantiles, expected)
+        tracemalloc.start()
+        try:
+            report = tg.scaling_verdict(kb, query, self.GRID, params, n=20000, burn_in=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert all(0.0 < q < 1.0 for row in report.quantiles for q in row)
+
+    def test_single_point_grid_reads_one_rate(self):
+        # Every name is a fact at threshold inf, so each grid polytope is
+        # the one model a & b & ... & h: its quantile is the rate at that
+        # model, read without repeating it n times (41 MB at n = 20000).
+        signature = tg.Signature(("a", "b", "c", "d", "e", "g", "h", "i"))
+        kb = tg.KnowledgeBase(
+            signature,
+            tuple(rule(signature, "true", name, tg.INFINITY) for name in signature.names),
+        )
+        params = tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=0.1)
+        for consequent, rate in (("~a", 1.0), ("a & i", 0.0)):
+            query = rule(signature, "true", consequent, 1)
+            tracemalloc.start()
+            try:
+                report = tg.scaling_verdict(kb, query, self.GRID, params, n=20000)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+            assert report.quantiles == ((rate,) * len(self.GRID),) * len(tg.PSI_SWEEP)
+            assert tg.conclusion_quantile(kb, params, query, 20000) == rate
 
     def test_run_arguments_checked_before_any_lp(self, monkeypatch):
         def no_lp(system):
