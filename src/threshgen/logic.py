@@ -332,6 +332,13 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Levels of '(', '~' and '->' a proposition may nest. Each '(' costs the
+# parser five frames, so 100 levels take about 500 of Python's default
+# 1000, which leaves the caller room; deeper input is a ParseError at the
+# token that opens the level past the bound, not a RecursionError.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over the token list.
 
@@ -349,6 +356,9 @@ class _Parser:
     The conditional forms are sugar: p -> q abbreviates ~p | q and
     p <-> q abbreviates (p -> q) & (q -> p); they desugar during mask
     construction but keep their own display nodes.
+
+    Nesting is bounded: '(', '~' and the right operand of '->' each open
+    a level, and at most _MAX_NESTING may be open at once.
     """
 
     def __init__(self, text: str, signature: Signature):
@@ -356,6 +366,7 @@ class _Parser:
         self.signature = signature
         self.tokens = tokenize(text)
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.at][0]
@@ -371,6 +382,15 @@ class _Parser:
             found = repr(value) if value else "end of input"
             raise ParseError(f"expected {what}, found {found}", self.text, pos)
         return self.take()
+
+    def open_level(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {_MAX_NESTING} levels of '(', '~' and '->'",
+                self.text,
+                pos,
+            )
 
     def proposition(self) -> Proposition:
         prop = self.iff()
@@ -395,8 +415,9 @@ class _Parser:
     def imp(self) -> Proposition:
         prop = self.disj()
         if self.peek() == "imp":
-            self.take()
+            self.open_level(self.take()[2])
             right = self.imp()
+            self.depth -= 1
             full = self.signature.full_mask
             prop = Proposition(
                 self.signature,
@@ -422,10 +443,15 @@ class _Parser:
     def unary(self) -> Proposition:
         kind, value, pos = self.take()
         if kind == "not":
-            return ~self.unary()
+            self.open_level(pos)
+            prop = ~self.unary()
+            self.depth -= 1
+            return prop
         if kind == "lp":
+            self.open_level(pos)
             prop = self.iff()
             self.expect("rp", "')'")
+            self.depth -= 1
             return prop
         if kind == "true":
             return Proposition.true(self.signature)

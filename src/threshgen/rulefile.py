@@ -10,12 +10,13 @@ and blank lines ignored. Default-rule files are the same shape with the
 
     <proposition> -> <proposition> @ <strength>
 
-The file's signature is the set of identifiers appearing anywhere in it,
-in first-appearance order, optionally extended with names supplied by the
-caller (a query's names, typically). Because ``->`` is also conditional
-sugar inside propositions, the rule arrow of a default line is the first
-``->`` at parenthesis depth 0 that is not part of ``<->``; an antecedent
-that itself uses conditional sugar therefore needs parentheses.
+Both numbers are written in plain ASCII digits. The file's signature is
+the set of identifiers appearing anywhere in it, in first-appearance
+order, optionally extended with names supplied by the caller (a query's
+names, typically). Because ``->`` is also conditional sugar inside
+propositions, the rule arrow of a default line is the first ``->`` at
+parenthesis depth 0 that is not part of ``<->``; an antecedent that
+itself uses conditional sugar therefore needs parentheses.
 """
 
 from __future__ import annotations
@@ -46,14 +47,22 @@ def _parse_fragment(
         ) from error
 
 
+def _natural(text: str) -> int:
+    """text as a number written in ASCII digits only, else -1; int() alone
+    would also take '1_0', '+1' and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        return -1
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return -1
+
+
 def _parse_threshold(text: str, lineno: int) -> Depth:
     text = text.strip()
     if text == "inf":
         return INFINITY
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+    value = _natural(text)
     if value < 1:
         raise RuleFileError(
             f"line {lineno}: threshold must be a positive integer or inf,"
@@ -64,10 +73,7 @@ def _parse_threshold(text: str, lineno: int) -> Depth:
 
 def _parse_strength(text: str, lineno: int) -> int:
     text = text.strip()
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
+    value = _natural(text)
     if value < 0:
         raise RuleFileError(
             f"line {lineno}: strength must be a non-negative integer, got {text!r}"
@@ -75,11 +81,17 @@ def _parse_strength(text: str, lineno: int) -> int:
     return value
 
 
-def _split_at_sign(rest: str, lineno: int) -> tuple[str, str]:
-    parts = rest.split("@")
+def _parse_rule(
+    line: str, arrow: int, signature: Signature, lineno: int
+) -> tuple[Proposition, Proposition, str]:
+    """Antecedent, consequent and the unparsed number of a rule line whose
+    two-character arrow starts at arrow and whose number follows one '@'."""
+    parts = line[arrow + 2 :].split("@")
     if len(parts) != 2:
         raise RuleFileError(f"line {lineno}: expected one '@ <number>' suffix")
-    return parts[0], parts[1]
+    antecedent = _parse_fragment(line[:arrow], signature, lineno, 0)
+    consequent = _parse_fragment(parts[0], signature, lineno, arrow + 2)
+    return antecedent, consequent, parts[1]
 
 
 def _numbered_lines(text: str):
@@ -117,10 +129,8 @@ def load_kb(text: str, extra_names=()) -> KnowledgeBase:
         arrow = line.find("=>")
         if arrow < 0:
             raise RuleFileError(f"line {lineno}: expected '=>' between propositions")
-        rest, threshold_text = _split_at_sign(line[arrow + 2 :], lineno)
-        antecedent = _parse_fragment(line[:arrow], signature, lineno, 0)
-        consequent = _parse_fragment(rest, signature, lineno, arrow + 2)
-        threshold = _parse_threshold(threshold_text, lineno)
+        antecedent, consequent, number = _parse_rule(line, arrow, signature, lineno)
+        threshold = _parse_threshold(number, lineno)
         rules.append(Generalization(antecedent, consequent, threshold))
     return KnowledgeBase(signature, tuple(rules))
 
@@ -136,11 +146,8 @@ def load_defaults(text: str, extra_names=()) -> tuple[list[ZPlusRule], Signature
                 f"line {lineno}: expected '->' between propositions"
                 " (antecedents using conditional sugar need parentheses)"
             )
-        rest, strength_text = _split_at_sign(line[arrow + 2 :], lineno)
-        antecedent = _parse_fragment(line[:arrow], signature, lineno, 0)
-        consequent = _parse_fragment(rest, signature, lineno, arrow + 2)
-        strength = _parse_strength(strength_text, lineno)
-        rules.append(ZPlusRule(antecedent, consequent, strength))
+        antecedent, consequent, number = _parse_rule(line, arrow, signature, lineno)
+        rules.append(ZPlusRule(antecedent, consequent, _parse_strength(number, lineno)))
     return rules, signature
 
 
@@ -149,10 +156,8 @@ def parse_query(text: str, signature: Signature) -> Generalization:
     arrow = text.find("=>")
     if arrow < 0:
         raise RuleFileError("query must look like '<prop> => <prop> @ <threshold>'")
-    rest, threshold_text = _split_at_sign(text[arrow + 2 :], 1)
-    antecedent = _parse_fragment(text[:arrow], signature, 1, 0)
-    consequent = _parse_fragment(rest, signature, 1, arrow + 2)
-    return Generalization(antecedent, consequent, _parse_threshold(threshold_text, 1))
+    antecedent, consequent, number = _parse_rule(text, arrow, signature, 1)
+    return Generalization(antecedent, consequent, _parse_threshold(number, 1))
 
 
 def query_names(text: str) -> list[str]:

@@ -25,23 +25,23 @@ shorter one exactly.
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
 its own polytope and with its own random stream, and hands its visited
 points back one chunk at a time. sample_uniform is the K = 1 case and
-scatters the chunks into its (n, dimension) points. scaling_verdict walks
-consecutive grid points whose polytopes have the same shape together, at
-most 1024 coordinates per group, which pays NumPy's per-call cost once per
-step for the group instead of once per chain; it turns each chunk into
-exception rates at once, so a group holds (K, n) rates and no points.
-conclusion_quantile reads its one chain the same way. Every chain does
-exactly the arithmetic it would do alone, so its points, and hence every
-quantile and verdict, are bit-identical to sampling that grid point by
-itself.
+scatters the chunks into its (n, dimension) points. One path, _quantiles,
+takes polytopes to quantiles for both conclusion_quantile (one polytope)
+and scaling_verdict (a grid of them): it walks consecutive polytopes of
+the same shape together, at most 1024 coordinates per group, which pays
+NumPy's per-call cost once per step for the group instead of once per
+chain, and turns each chunk into exception rates at once, so a group
+holds (K, n) rates and no points. Every chain does exactly the arithmetic
+it would do alone, so its points, and hence every quantile and verdict,
+are bit-identical to sampling that grid point by itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -181,13 +181,6 @@ def _walk(
     y[:] = out[:, -1]
 
 
-def _fixed_points(space: _Walkspace, n: int, dimension: int) -> np.ndarray:
-    """The polytope's single (central) point, repeated n times."""
-    points = np.zeros((n, dimension))
-    points[:, space.keep] = space.center
-    return points
-
-
 def _lockstep(
     spaces: list[_Walkspace], seeds, n: int, burn_in: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -256,15 +249,25 @@ def sample_uniform(
     """
     _check_run(n, burn_in, seed)
     space = _walkspace(system)
-    if space.radius <= _DEGENERATE_RADIUS:
-        return UniformSample(_fixed_points(space, n, system.dimension), degenerate=True)
     points = np.zeros((n, system.dimension))
+    if space.radius <= _DEGENERATE_RADIUS:
+        points[:, space.keep] = space.center
+        return UniformSample(points, degenerate=True)
     for stored, visited in _lockstep([space], [seed], n, burn_in):
         points[stored, space.keep] = visited[0]
     return UniformSample(points=points, degenerate=False)
 
 
-def _rates(mass_gamma: np.ndarray, mass_both: np.ndarray) -> np.ndarray:
+def _weights(gamma: Proposition, zeta: Proposition, dimension: int) -> np.ndarray:
+    """The (dimension, 2) indicators of gamma and gamma & zeta: a model
+    times them gives its masses pi(gamma) and pi(gamma & zeta)."""
+    masks = (gamma.mask, (gamma & zeta).mask)
+    return np.stack([indicator(mask, dimension) for mask in masks], axis=1)
+
+
+def _rates(masses: np.ndarray) -> np.ndarray:
+    """1 - pi(zeta | gamma) from (..., 2) masses, 0 where pi(gamma) = 0."""
+    mass_gamma, mass_both = masses[..., 0], masses[..., 1]
     safe = np.where(mass_gamma > 0.0, mass_gamma, 1.0)
     return np.where(mass_gamma > 0.0, 1.0 - mass_both / safe, 0.0)
 
@@ -277,47 +280,7 @@ def exception_rate(
     The zero-antecedent convention matches reading the conditional as 1
     when gamma has no mass: such models never witness an exception.
     """
-    dimension = points.shape[1]
-    return _rates(
-        points @ indicator(gamma.mask, dimension),
-        points @ indicator((gamma & zeta).mask, dimension),
-    )
-
-
-class _Readout:
-    """Exception rates of one query read straight off the walk.
-
-    Each space's models are read over its kept atoms, against the
-    antecedent's and the conjunction's indicators restricted to them, so
-    a chunk of visited points becomes rates without being scattered back
-    to full models. scaling_verdict and conclusion_quantile both read
-    through this, so a grid point's quantile does not depend on which
-    of them sampled it.
-    """
-
-    def __init__(self, query: Generalization, dimension: int) -> None:
-        gamma = query.antecedent
-        self.weights = np.stack(
-            [
-                indicator(gamma.mask, dimension),
-                indicator((gamma & query.consequent).mask, dimension),
-            ],
-            axis=1,
-        )
-
-    def fixed(self, space: _Walkspace) -> float:
-        """The rate at the space's single (central) point."""
-        mass_gamma, mass_both = space.center @ self.weights[space.keep]
-        return float(_rates(mass_gamma, mass_both))
-
-    def walked(self, spaces: list[_Walkspace], seeds, n: int, burn_in: int) -> np.ndarray:
-        """(K, n) rates over the spaces' lockstep walks."""
-        weights = np.stack([self.weights[space.keep] for space in spaces])
-        rates = np.empty((len(spaces), n))
-        for stored, visited in _lockstep(spaces, seeds, n, burn_in):
-            masses = np.matmul(visited, weights)
-            rates[:, stored] = _rates(masses[..., 0], masses[..., 1])
-        return rates
+    return _rates(points @ _weights(gamma, zeta, points.shape[1]))
 
 
 def empirical_quantile(values: np.ndarray, eta: float) -> float:
@@ -330,6 +293,61 @@ def empirical_quantile(values: np.ndarray, eta: float) -> float:
     rank = math.ceil((1.0 - eta) * n - 1e-12)
     rank = min(max(rank, 1), n)
     return float(np.sort(values)[rank - 1])
+
+
+def _walk_group(
+    group: list, weights: np.ndarray, n: int, burn_in: int, eta: float, out: list[float]
+) -> None:
+    """Walk a lockstep group of (place, space, seed) chains of one shape
+    and write each chain's quantile to out[place]. Each walked chunk
+    becomes rates at once, read over each chain's own kept atoms, so the
+    group holds (K, n) rates and no models; its walk buffers are released
+    on return, before the next group walks."""
+    spaces = [space for _, space, _ in group]
+    stacked = np.stack([weights[space.keep] for space in spaces])
+    rates = np.empty((len(group), n))
+    for stored, visited in _lockstep(spaces, [seed for _, _, seed in group], n, burn_in):
+        rates[:, stored] = _rates(np.matmul(visited, stacked))
+    for (place, _, _), chain_rates in zip(group, rates):
+        out[place] = empirical_quantile(chain_rates, eta)
+
+
+def _quantiles(
+    spaces: Iterable[_Walkspace],
+    seeds: Iterable[int],
+    query: Generalization,
+    dimension: int,
+    n: int,
+    burn_in: int,
+    eta: float,
+) -> list[float]:
+    """The (1 - eta)-quantile of 1 - pi(zeta|gamma) over each space's
+    models, one seed per space, in order: the one path from a polytope to
+    its quantile. A single-point space gives the rate at its point, the
+    quantile of n copies of it. The others walk from their centers, and
+    consecutive ones of the same shape walk in lockstep, up to
+    _LOCKSTEP_WIDTH coordinates at a time, which changes no sample.
+    spaces is read one at a time, so a caller may build them lazily.
+    """
+    weights = _weights(query.antecedent, query.consequent, dimension)
+    quantiles: list[float] = []
+    group: list[tuple[int, _Walkspace, int]] = []
+    # The None after the last space walks the group still open.
+    for space, seed in chain(zip(spaces, seeds), [(None, 0)]):
+        if space is not None and space.radius <= _DEGENERATE_RADIUS:
+            quantiles.append(float(_rates(space.center @ weights[space.keep])))
+            continue
+        if group and (
+            space is None
+            or space.rows.shape != group[0][1].rows.shape
+            or len(group) >= max(1, _LOCKSTEP_WIDTH // space.rows.shape[1])
+        ):
+            _walk_group(group, weights, n, burn_in, eta, quantiles)
+            group = []
+        if space is not None:
+            group.append((len(quantiles), space, seed))
+            quantiles.append(math.nan)
+    return quantiles
 
 
 def conclusion_quantile(
@@ -345,11 +363,10 @@ def conclusion_quantile(
     sample_uniform would draw them."""
     _check_run(n, burn_in, seed)
     space = _walkspace(build_polytope(kb, params))
-    readout = _Readout(query, kb.signature.atom_count)
-    if space.radius <= _DEGENERATE_RADIUS:
-        return readout.fixed(space)
-    (rates,) = readout.walked([space], [seed], n, burn_in)
-    return empirical_quantile(rates, params.eta)
+    (quantile,) = _quantiles(
+        [space], [seed], query, kb.signature.atom_count, n, burn_in, params.eta
+    )
+    return quantile
 
 
 @dataclass(frozen=True)
@@ -405,18 +422,15 @@ def scaling_verdict(
 
     For each psi scale in PSI_SWEEP and each grid delta the kb polytope is
     sampled and the query's (1 - eta)-quantile recorded; a least-squares
-    line through (log delta, log quantile) estimates the exponent. The
-    grid must have at least 3 strictly decreasing deltas, and every grid
-    polytope must be nonempty: an infeasible point aborts, naming its
-    delta, since quantiles of an empty model set mean nothing.
+    line through (log delta, log quantile) estimates the exponent. params
+    supplies psi and eta; its delta is unused, since the grid gives every
+    delta. The grid must have at least 3 strictly decreasing deltas, and
+    every grid polytope must be nonempty: an infeasible point aborts,
+    naming its delta, since quantiles of an empty model set mean nothing.
 
-    Each grid point is sampled with its own seed, drawn from seed, exactly
-    as conclusion_quantile would sample it alone, and its rates are read
-    the same way. Consecutive points whose polytopes have the same shape
-    walk in lockstep, up to 1024 coordinates at a time, which changes no
-    sample; each walked chunk becomes rates at once, so a group holds
-    (K, n) rates and no models. A single-point polytope contributes the
-    rate at its point, the quantile of n copies of it. n, burn_in, seed
+    Each grid point is sampled with its own seed, drawn from seed, and its
+    quantile taken by _quantiles, exactly as conclusion_quantile would
+    take it alone; grouping the walks changes no sample. n, burn_in, seed
     and the grid are checked before any polytope is built.
     """
     grid = tuple(float(d) for d in delta_grid)
@@ -429,38 +443,22 @@ def scaling_verdict(
     _check_run(n, burn_in, seed)
     sweep = list(product(PSI_SWEEP, grid))
     seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
-    readout = _Readout(query, kb.signature.atom_count)
-    quantiles = [0.0] * len(sweep)
 
-    def walk(group: list[tuple[int, _Walkspace]]) -> None:
-        spaces = [space for _, space in group]
-        chosen = [int(seeds[at]) for at, _ in group]
-        for (at, _), rates in zip(group, readout.walked(spaces, chosen, n, burn_in)):
-            quantiles[at] = empirical_quantile(rates, params.eta)
+    def spaces() -> Iterator[_Walkspace]:
+        for scale, delta in sweep:
+            point = replace(params, psi=tuple(scale * p for p in params.psi), delta=delta)
+            try:
+                space = _walkspace(build_polytope(kb, point))
+            except InfeasiblePolytopeError as err:
+                raise InfeasiblePolytopeError(
+                    f"polytope is empty at delta={delta} (psi scale {scale});"
+                    " the scaling fit is undefined"
+                ) from err
+            yield space
 
-    group = []
-    for at, (scale, delta) in enumerate(sweep):
-        point = replace(params, psi=tuple(scale * p for p in params.psi), delta=delta)
-        try:
-            space = _walkspace(build_polytope(kb, point))
-        except InfeasiblePolytopeError as err:
-            raise InfeasiblePolytopeError(
-                f"polytope is empty at delta={delta} (psi scale {scale});"
-                " the scaling fit is undefined"
-            ) from err
-        if space.radius <= _DEGENERATE_RADIUS:
-            quantiles[at] = readout.fixed(space)
-            continue
-        if group and (
-            space.rows.shape != group[0][1].rows.shape
-            or len(group) >= max(1, _LOCKSTEP_WIDTH // space.rows.shape[1])
-        ):
-            walk(group)
-            group = []
-        group.append((at, space))
-    if group:
-        walk(group)
-
+    quantiles = _quantiles(
+        spaces(), map(int, seeds), query, kb.signature.atom_count, n, burn_in, params.eta
+    )
     rows = [tuple(quantiles[i : i + len(grid)]) for i in range(0, len(sweep), len(grid))]
     exponents = [_fit_exponent(np.array(grid), np.array(row)) for row in rows]
     verdicts = {_single_verdict(exponent, query.threshold) for exponent in exponents}

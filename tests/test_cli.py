@@ -2,8 +2,11 @@
 
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -71,6 +74,22 @@ class TestCheck:
         assert main(["check", "--kb", str(path)]) == 1
         err = capsys.readouterr().err
         assert "line 1" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 200 + "a" + ")" * 200, "~" * 1000 + "a"],
+        ids=["parentheses", "negations"],
+    )
+    def test_deep_nesting_is_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.rules"
+        path.write_text("t => b @ 1\n" + text + " => b @ 1\n")
+        assert main(["check", "--kb", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 2, column 101: nesting deeper than 100 levels"
+            " of '(', '~' and '->'\n"
+        )
 
 
 class TestQuery:
@@ -396,6 +415,47 @@ class TestValidate:
         )
         assert code == 1
         assert "0.3" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """The README's birds.rules block and its '$ threshgen ...' examples,
+    each as (arguments, the output lines shown under it)."""
+    blocks = re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    (rules,) = [block for block in blocks if block.startswith("# birds.rules\n")]
+    examples = []
+    for block in blocks:
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ threshgen "):
+                shown = []
+                examples.append((shlex.split(line[len("$ threshgen ") :]), shown))
+            elif not line:
+                shown = None
+            elif shown is not None:
+                shown.append(line)
+    return rules, examples
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # Each shown line must be printed as shown, in order; a line ending in
+    # '...' is a prefix of the printed one and may end the shown output.
+    rules, examples = readme_examples()
+    assert examples and all(shown for _, shown in examples)
+    (tmp_path / "birds.rules").write_text(rules)
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in examples:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), argv
+        printed = captured.out.splitlines()
+        if shown[-1].endswith("..."):
+            printed = printed[: len(shown)]
+            assert printed[-1].startswith(shown[-1][:-3]), argv
+            shown[-1] = printed[-1]
+        assert printed == shown, argv
 
 
 class TestProcess:

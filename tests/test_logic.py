@@ -253,6 +253,26 @@ class TestParser:
         with pytest.raises(tg.ParseError):
             tg.parse("", AB)
 
+    def test_nesting_bound(self):
+        # 100 levels of '(', '~' and '->' parse; the token that opens the
+        # 101st is a ParseError at its own column, not a RecursionError.
+        for text, same in (
+            ("(" * 100 + "a" + ")" * 100, "a"),
+            ("~" * 100 + "a", "a"),
+            ("(" * 50 + "~" * 50 + "a" + ")" * 50, "a"),
+            (" -> ".join(["b"] * 100 + ["a"]), "~b | a"),
+        ):
+            assert tg.parse(text, AB).equivalent(tg.parse(same, AB)), text
+        for text, column in (
+            ("(" * 200 + "a" + ")" * 200, 101),
+            ("~" * 1000 + "a", 101),
+            ("b & " + "(" * 50 + "~" * 51 + "a" + ")" * 50, 105),
+            (" -> ".join(["a"] * 1000), 503),
+        ):
+            with pytest.raises(tg.ParseError, match="nesting deeper than 100") as info:
+                tg.parse(text, AB)
+            assert (info.value.line, info.value.column) == (1, column)
+
     def test_scan_names(self):
         assert tg.scan_names("a -> (b & zebra) # c") == ["a", "b", "zebra"]
         assert tg.scan_names("t & true | f") == []

@@ -6,7 +6,7 @@ import pytest
 import threshgen as tg
 from support import NAMES, lockstep_points
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _DEGENERATE_RADIUS, _fixed_points
+from threshgen.sampling import _DEGENERATE_RADIUS
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -90,7 +90,8 @@ def test_center_is_a_model(kb, delta):
             space = _walkspace(system)
         except tg.InfeasiblePolytopeError:
             continue
-        center = _fixed_points(space, 1, system.dimension)
+        center = np.zeros((1, system.dimension))
+        center[:, space.keep] = space.center
         assert tg.max_violation(system, center) <= 1e-9
         assert np.all(space.rows @ space.center <= space.rhs + 1e-9)
 

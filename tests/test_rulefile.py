@@ -59,12 +59,11 @@ class TestLoadKb:
             tg.load_kb("a => b @ 1 @ 2\n")
 
     def test_zero_threshold_rejected(self):
-        with pytest.raises(tg.RuleFileError, match="positive"):
-            tg.load_kb("a => b @ 0\n")
-        with pytest.raises(tg.RuleFileError, match="positive"):
-            tg.load_kb("a => b @ -2\n")
-        with pytest.raises(tg.RuleFileError, match="positive"):
-            tg.load_kb("a => b @ 1.5\n")
+        # Thresholds are ASCII digits only: int() alone would read 1_0 as
+        # 10, the Arabic-Indic and fullwidth digits as 3 and 1, and +1.
+        for number in ("0", "-2", "1.5", "1_0", "\u0663", "\uff11", "+1", "9" * 5000):
+            with pytest.raises(tg.RuleFileError, match="positive"):
+                tg.load_kb(f"a => b @ {number}\n")
 
     def test_bad_fragment_reports_line_and_column(self):
         with pytest.raises(tg.RuleFileError, match=r"line 2, column \d+"):
@@ -102,8 +101,9 @@ class TestLoadDefaults:
             tg.load_defaults("a & b @ 1\n")
 
     def test_negative_strength_rejected(self):
-        with pytest.raises(tg.RuleFileError, match="non-negative"):
-            tg.load_defaults("a -> b @ -1\n")
+        for number in ("-1", "-0", "0_1", "\u0663", "+1"):
+            with pytest.raises(tg.RuleFileError, match="non-negative"):
+                tg.load_defaults(f"a -> b @ {number}\n")
 
     def test_infinite_strength_rejected(self):
         with pytest.raises(tg.RuleFileError, match="non-negative"):
@@ -129,6 +129,9 @@ class TestParseQuery:
             tg.parse_query("a => b", self.SIG)
         with pytest.raises(tg.RuleFileError):
             tg.parse_query("a => b @ 0", self.SIG)
+        for number in ("1_0", "\u0663"):
+            with pytest.raises(tg.RuleFileError, match="threshold must be"):
+                tg.parse_query(f"a => b @ {number}", self.SIG)
 
     def test_query_names(self):
         assert tg.query_names("t => a | zebra @ 2") == ["a", "zebra"]

@@ -504,10 +504,11 @@ class TestScalingVerdict:
         assert len(set(walked)) == 2
         assert len(walked) < len(spaces)
 
-    def test_readout_reads_each_chain_on_its_own_atoms(self):
+    def test_readout_reads_each_chain_on_its_own_atoms(self, monkeypatch):
         # Two polytopes of one shape that keep different atoms (a & ~b,
         # a & b against ~a & b, a & b): a group must read each chain
-        # against its own kept atoms, exactly as that chain alone.
+        # against its own kept atoms, exactly as that chain alone. The
+        # rates are caught on their way into the quantile.
         params = tg.ParameterAssignment(psi=(1.0,), delta=0.1)
         spaces = [
             _walkspace(
@@ -519,12 +520,27 @@ class TestScalingVerdict:
         ]
         assert spaces[0].rows.shape == spaces[1].rows.shape
         assert not np.array_equal(spaces[0].keep, spaces[1].keep)
-        readout = sampling._Readout(rule(AB, "true", "a", 1), AB.atom_count)
+        read = []
+        quantile = sampling.empirical_quantile
+
+        def spy(values, eta):
+            read.append(values.copy())
+            return quantile(values, eta)
+
+        monkeypatch.setattr(sampling, "empirical_quantile", spy)
+        query = rule(AB, "true", "a", 1)
+
+        def rates(group, seeds):
+            read.clear()
+            sampling._quantiles(group, seeds, query, AB.atom_count, 700, 100, 0.1)
+            return list(read)
+
         seeds = [3, 4]
-        together = readout.walked(spaces, seeds, 700, 100)
-        for space, seed, rates in zip(spaces, seeds, together):
-            (alone,) = readout.walked([space], [seed], 700, 100)
-            assert np.array_equal(rates, alone)
+        together = rates(spaces, seeds)
+        assert len(together) == 2
+        for space, seed, chain_rates in zip(spaces, seeds, together):
+            (alone,) = rates([space], [seed])
+            assert np.array_equal(chain_rates, alone)
         assert not together[0].any() and together[1].all()
 
     def test_wide_grid_splits_into_capped_groups(self, monkeypatch):
