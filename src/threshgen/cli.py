@@ -5,7 +5,7 @@ validate. Input is a knowledge base file (--kb) plus, where relevant, a
 query or proposition string; names appearing only in the query enlarge
 the signature before compilation, which never changes verdicts about the
 file's own names. Output is a human-readable block by default or a
-line-oriented ``key=value`` block with --format kv; kv output is stable
+line-oriented ``key=value`` block with --format kv, written pair by pair
 and bit-exact across runs for identical inputs and seed.
 
 Exit codes: 0 for the affirmative verdict (consistent / entailed /
@@ -26,6 +26,7 @@ import argparse
 import os
 import sys
 from contextlib import redirect_stdout
+from itertools import islice
 
 from .depth import DepthProfile, compile_kb, depth_text
 from .logic import parse
@@ -44,8 +45,9 @@ def _kv_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _kv_block(pairs) -> str:
-    return "".join(f"{key}={value}\n" for key, value in pairs)
+def _write_kv(pairs) -> None:
+    for key, value in pairs:
+        sys.stdout.write(f"{key}={value}\n")
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -89,7 +91,7 @@ def cmd_check(args) -> int:
         pairs += [
             (f"chain_{d}", prop.text()) for d, prop in enumerate(profile.chain)
         ]
-        print(_kv_block(pairs), end="")
+        _write_kv(pairs)
     else:
         print("consistent" if consistent else "inconsistent")
         print(f"D = {profile.fixpoint}")
@@ -103,23 +105,18 @@ def cmd_query(args) -> int:
     kb = load_kb(text, extra_names=query_names(args.query))
     profile = compile_kb(kb)
     query = parse_query(args.query, kb.signature)
-    verdict = profile.entails_in_probability(query)
-    depth_exception = profile.depth_of(query.exception())
-    depth_antecedent = profile.depth_of(query.antecedent)
+    verdict, depth_exception, depth_antecedent = profile.decide(query)
     if args.format == "kv":
-        print(
-            _kv_block(
-                [
-                    ("verdict", _kv_bool(verdict)),
-                    ("d_exception", depth_text(depth_exception)),
-                    ("d_antecedent", depth_text(depth_antecedent)),
-                    ("threshold", depth_text(query.threshold)),
-                    ("D", profile.fixpoint),
-                    ("consistent", _kv_bool(profile.is_consistent())),
-                    ("vacuous", _kv_bool(query.antecedent.is_false)),
-                ]
-            ),
-            end="",
+        _write_kv(
+            [
+                ("verdict", _kv_bool(verdict)),
+                ("d_exception", depth_text(depth_exception)),
+                ("d_antecedent", depth_text(depth_antecedent)),
+                ("threshold", depth_text(query.threshold)),
+                ("D", profile.fixpoint),
+                ("consistent", _kv_bool(profile.is_consistent())),
+                ("vacuous", _kv_bool(query.antecedent.is_false)),
+            ]
         )
     else:
         print(f"query: {query.text()}")
@@ -136,7 +133,7 @@ def cmd_rarity(args) -> int:
     profile = compile_kb(kb)
     rarity = profile.degree_of_rarity(parse(args.proposition, kb.signature))
     if args.format == "kv":
-        print(_kv_block([("rarity", depth_text(rarity))]), end="")
+        _write_kv([("rarity", depth_text(rarity))])
     else:
         print(f"rarity = {depth_text(rarity)}")
     return 0
@@ -145,16 +142,17 @@ def cmd_rarity(args) -> int:
 def cmd_depthmap(args) -> int:
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
-    depths = profile.atom_depths()
     if args.format == "kv":
-        pairs = [("names", ",".join(signature.names))]
-        pairs += [(f"atom_{i}", depth_text(d)) for i, d in enumerate(depths)]
-        print(_kv_block(pairs), end="")
+        _write_kv([("names", ",".join(signature.names))])
+        key, sep = "atom_{}".format, "="
     else:
-        # One write per atom: there can be 2**24 of them.
-        write = sys.stdout.write
-        for i, d in enumerate(depths):
-            write(f"{signature.atom_text(i)}: {depth_text(d)}\n")
+        key, sep = signature.atom_text, ": "
+    depths = enumerate(profile.atom_depths())
+    lines = (f"{key(i)}{sep}{depth_text(d)}\n" for i, d in depths)
+    # One write per 4096 atoms: there can be 2**24 of them, and with an
+    # unbuffered stdout every write is a system call.
+    while chunk := "".join(islice(lines, 4096)):
+        sys.stdout.write(chunk)
     return 0
 
 
@@ -172,7 +170,7 @@ def cmd_explain(args) -> int:
                 pairs.append(
                     (f"rules_{d}", ",".join(str(i + 1) for i in profile.fired[d]))
                 )
-        print(_kv_block(pairs), end="")
+        _write_kv(pairs)
     else:
         for i, rule in enumerate(profile.kb.rules):
             print(f"rule {i + 1}: {rule.text()}")
@@ -243,7 +241,7 @@ def cmd_validate(args) -> int:
         ]
         for i, row in enumerate(report.quantiles):
             pairs.append((f"quantiles_{i}", ",".join(_float_text(q) for q in row)))
-        print(_kv_block(pairs), end="")
+        _write_kv(pairs)
     else:
         print(f"verdict: {report.verdict} (threshold {depth_text(report.threshold)})")
         print(f"fitted exponent = {_float_text(report.fitted_exponent)}")

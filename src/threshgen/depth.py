@@ -181,13 +181,23 @@ class DepthProfile:
         is depth infinity, which makes every query succeed vacuously)."""
         return not self.limit.is_true
 
-    def entails_in_probability(self, query: Generalization) -> bool:
-        """Decide whether the knowledge base supports the query rule."""
+    def decide(self, query: Generalization) -> tuple[bool, Depth, Depth]:
+        """A query's verdict and the two depths it rests on.
+
+        Returns (entailed, d_exception, d_antecedent): the depths of
+        gamma & ~zeta and of gamma, and whether the first is at least the
+        second plus the query's threshold.
+        """
         if query.signature != self.kb.signature:
             raise SignatureError("query signature differs from knowledge base")
         d_exception = self.depth_of(query.exception())
         d_antecedent = self.depth_of(query.antecedent)
-        return d_exception >= d_antecedent + query.threshold
+        entailed = d_exception >= d_antecedent + query.threshold
+        return entailed, d_exception, d_antecedent
+
+    def entails_in_probability(self, query: Generalization) -> bool:
+        """Decide whether the knowledge base supports the query rule."""
+        return self.decide(query)[0]
 
     def max_entailed_threshold(
         self, gamma: Proposition, zeta: Proposition
@@ -196,13 +206,16 @@ class DepthProfile:
 
         Infinity means every finite threshold (and @ inf) is supported.
         """
-        d_exception = self.depth_of(gamma & ~zeta)
+        entailed, d_exception, d_antecedent = self.decide(
+            Generalization(gamma, zeta, 1)
+        )
+        if not entailed:
+            return None
         if d_exception == INFINITY:
             return INFINITY
         # A finite exception depth forces the antecedent depth finite too,
         # since gamma & ~zeta entails gamma.
-        gap = int(d_exception - self.depth_of(gamma))
-        return gap if gap >= 1 else None
+        return int(d_exception - d_antecedent)
 
 
 def compile_kb(kb: KnowledgeBase) -> DepthProfile:

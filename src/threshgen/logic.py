@@ -259,34 +259,55 @@ class Proposition:
 
 # Rendering precedence, loosest first: <->, ->, |, &, ~.
 _PREC = {"iff": 1, "imp": 2, "or": 3, "and": 4, "not": 5}
+_OP_TEXT = {"and": " & ", "or": " | ", "imp": " -> ", "iff": " <-> "}
 
 
 def _render(node, parent_prec: int) -> str:
-    if isinstance(node, Proposition):
-        # No source tree: render the atom set as a disjunction of atom terms.
-        if node.is_true:
-            return "true"
-        if node.is_false:
-            return "false"
-        terms = [node.signature.atom_text(i) for i in node.atoms()]
-        if len(terms) == 1:
-            text = terms[0]
-            return f"({text})" if parent_prec > _PREC["and"] and " " in text else text
-        # & binds tighter than |, so conjunction terms need no parentheses.
-        text = " | ".join(terms)
-        return f"({text})" if parent_prec > _PREC["or"] else text
-    kind = node[0]
-    if kind == "const":
-        return "true" if node[1] else "false"
-    if kind == "name":
-        return node[1]
-    if kind == "not":
-        return "~" + _render(node[1], _PREC["not"])
-    op_text = {"and": " & ", "or": " | ", "imp": " -> ", "iff": " <-> "}[kind]
-    prec = _PREC[kind]
-    # The binary connectives associate, so child precedence equals prec.
-    text = _render(node[1], prec) + op_text + _render(node[2], prec)
-    return f"({text})" if parent_prec > prec else text
+    """Text of a display tree, built with an explicit stack: chains of
+    thousands of connectives must not exhaust Python's recursion limit."""
+    pieces = []
+    stack = [(node, parent_prec)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        node, parent_prec = item
+        if isinstance(node, Proposition):
+            pieces.append(_render_atoms(node, parent_prec))
+            continue
+        kind = node[0]
+        if kind == "const":
+            pieces.append("true" if node[1] else "false")
+        elif kind == "name":
+            pieces.append(node[1])
+        elif kind == "not":
+            pieces.append("~")
+            stack.append((node[1], _PREC["not"]))
+        else:
+            # The binary connectives associate, so child precedence equals
+            # prec. The stack is last in, first out: push right to left.
+            prec = _PREC[kind]
+            if parent_prec > prec:
+                stack += [")", (node[2], prec), _OP_TEXT[kind], (node[1], prec), "("]
+            else:
+                stack += [(node[2], prec), _OP_TEXT[kind], (node[1], prec)]
+    return "".join(pieces)
+
+
+def _render_atoms(prop: Proposition, parent_prec: int) -> str:
+    """A proposition with no source tree, as a disjunction of atom terms."""
+    if prop.is_true:
+        return "true"
+    if prop.is_false:
+        return "false"
+    terms = [prop.signature.atom_text(i) for i in prop.atoms()]
+    if len(terms) == 1:
+        text = terms[0]
+        return f"({text})" if parent_prec > _PREC["and"] and " " in text else text
+    # & binds tighter than |, so conjunction terms need no parentheses.
+    text = " | ".join(terms)
+    return f"({text})" if parent_prec > _PREC["or"] else text
 
 
 # -- parsing ---------------------------------------------------------

@@ -93,12 +93,6 @@ class UniformSample:
     points: np.ndarray
     degenerate: bool
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.points)
-
 
 def _walk(
     rows: Sequence[np.ndarray],

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.stats import beta
 
 import threshgen as tg
 from threshgen.polytope import _walkspace
@@ -200,6 +201,22 @@ def exact_quantile(kb, params, query):
     if share_within(0.0) >= level:
         return 0.0
     return brentq(lambda t: share_within(t) - level, 0.0, 1.0, xtol=1e-15)
+
+
+def truncated_beta_quantile(exception_atoms, other_atoms, bound, eta):
+    """The exact (1 - eta)-quantile of a rule's exception rate when the
+    rule's own constraint is the only one that touches it.
+
+    Uniform models are Dirichlet(1, ..., 1), so for a rule gamma => zeta
+    the rate R = pi(gamma & ~zeta) / pi(gamma) is Beta(a, b), with a the
+    number of atoms of gamma & ~zeta and b that of gamma & zeta. By
+    Dirichlet neutrality R is independent of pi(gamma) and of every rule
+    over atoms outside gamma, so the constraint R <= bound (bound being
+    psi * delta**k) truncates it and nothing else does: the quantile is
+    F^-1((1 - eta) F(bound)), with F the Beta(a, b) CDF.
+    """
+    law = beta(exception_atoms, other_atoms)
+    return law.ppf((1.0 - eta) * law.cdf(bound))
 
 
 def eval_tree(node, assignment):

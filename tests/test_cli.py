@@ -150,6 +150,27 @@ class TestQuery:
         assert main(["query", "--kb", kb_file, "t | a @ 2"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_two_depths_per_query(self, kb_file, capsys, monkeypatch):
+        asked = []
+        depth_of = tg.DepthProfile.depth_of
+
+        def spy(profile, rho):
+            asked.append(rho)
+            return depth_of(profile, rho)
+
+        monkeypatch.setattr(tg.DepthProfile, "depth_of", spy)
+        for fmt in ("text", "kv"):
+            asked.clear()
+            assert main(["query", "--kb", kb_file, "--format", fmt, "t => a | b @ 2"]) == 0
+            assert len(asked) == 2
+
+    def test_long_flat_conjunction_prints(self, kb_file, capsys):
+        conjunction = " & ".join(["a"] * 1500)
+        assert main(["query", "--kb", kb_file, f"{conjunction} => b @ 1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == f"query: {conjunction} => b @ 1"
+        assert captured.err == ""
+
 
 class TestRarityAndDepthmap:
     def test_rarity_values(self, kb_file, capsys):
@@ -494,6 +515,44 @@ for command in {self.SYMBOLIC!r}:
         )
         expected = ["import []"] + [f"{command[0]} 0 []" for command in self.SYMBOLIC]
         assert done.stdout.splitlines() == expected
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
+    )
+    def test_depthmap_kv_streams(self, tmp_path):
+        # Joining 2**18 kv lines before writing them took about 74 MB more
+        # than a query on the same file; written as they come, about 2 MB.
+        # VmHWM, unlike ru_maxrss, does not inherit the forking test
+        # process's own peak.
+        path = tmp_path / "chain.rules"
+        rules = ["t => x0 @ 1"] + [f"x{i} => x{i + 1} @ 1" for i in range(17)]
+        path.write_text("\n".join(rules) + "\n")
+        script = """
+import sys
+from threshgen.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak, file=sys.stderr)
+"""
+
+        def peak_kb(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv, "--kb", str(path)],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=child_env(),
+                check=True,
+            )
+            code, peak = done.stderr.split()
+            assert code == "0"
+            return int(peak)
+
+        query = peak_kb("query", "x0 => x17 @ 1")
+        depthmap = peak_kb("depthmap", "--format", "kv")
+        assert depthmap - query <= 10 * 1024
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(

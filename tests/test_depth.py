@@ -389,6 +389,24 @@ class TestEntailment:
                     tg.Generalization(gamma, zeta, tg.INFINITY)
                 )
 
+    def test_decide_returns_the_verdict_and_both_depths(self):
+        rng = np.random.default_rng(32)
+        for _ in range(150):
+            kb = random_kb(rng, allow_infinite=True)
+            profile = tg.compile_kb(kb)
+            query = tg.Generalization(
+                random_proposition(rng, kb.signature),
+                random_proposition(rng, kb.signature),
+                int(rng.integers(1, 4)),
+            )
+            d_exception = profile.depth_of(query.exception())
+            d_antecedent = profile.depth_of(query.antecedent)
+            entailed = d_exception >= d_antecedent + query.threshold
+            assert profile.decide(query) == (entailed, d_exception, d_antecedent)
+        other = tg.Signature(("a", "b", "c"))
+        with pytest.raises(tg.SignatureError):
+            profile.decide(rule(other, "a", "b", 1))
+
     def test_depth_text(self):
         assert tg.depth_text(0) == "0"
         assert tg.depth_text(5) == "5"

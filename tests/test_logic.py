@@ -154,6 +154,23 @@ class TestPropositionAlgebra:
         assert atoms[:3] == [1, 3, 5] and atoms[-1] == (1 << 20) - 1
         assert elapsed < 1.0, f"enumerating 2**19 atoms took {elapsed:.2f} s"
 
+    def test_long_chains_render(self):
+        # One connective per level: far deeper than Python's recursion limit.
+        p = tg.Proposition.name(AB, "a")
+        q = tg.Proposition.name(AB, "b")
+        chain = p
+        for _ in range(5000):
+            chain = chain | p
+        assert chain.text() == " | ".join(["a"] * 5001)
+        mixed = (chain & q) | ~~q
+        assert mixed.text() == f"({chain.text()}) & b | ~~b"
+        negated = p
+        for _ in range(5000):
+            negated = ~negated
+        assert negated.text() == "~" * 5000 + "a"
+        rule = tg.Generalization(chain, q, 1)
+        assert repr(rule).startswith("Generalization(antecedent=Proposition('a | a")
+
     def test_cross_signature_operations_rejected(self):
         a = tg.Proposition.name(AB, "a")
         other = tg.Proposition.name(ABC, "a")

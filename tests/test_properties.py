@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import threshgen as tg
-from support import NAMES, lockstep_points
+from support import NAMES, brute_force_atom_depths, lockstep_points
 from threshgen.polytope import _walkspace
 from threshgen.sampling import _DEGENERATE_RADIUS
 
@@ -13,11 +13,13 @@ st = hypothesis.strategies
 
 
 @st.composite
-def knowledge_bases(draw):
-    r = draw(st.integers(1, 4))
+def knowledge_bases(draw, max_names=4, allow_infinite=True):
+    r = draw(st.integers(1, max_names))
     signature = tg.Signature(NAMES[:r])
     masks = st.integers(0, signature.full_mask)
-    thresholds = st.one_of(st.integers(1, 3), st.just(tg.INFINITY))
+    thresholds = st.integers(1, 3)
+    if allow_infinite:
+        thresholds = st.one_of(thresholds, st.just(tg.INFINITY))
     rules = draw(
         st.lists(st.tuples(masks, masks, thresholds), max_size=4).map(
             lambda triples: tuple(
@@ -57,6 +59,16 @@ def test_atom_depths_equal_per_minterm_depth_of(kb):
         profile.depth_of(tg.Proposition.minterm(signature, i))
         for i in range(signature.atom_count)
     ]
+
+
+# The oracle handles only all-finite KBs and searches every atom-depth
+# vector, so it takes at most three names; 500 examples run in about 2 s.
+@hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+@hypothesis.given(knowledge_bases(max_names=3, allow_infinite=False))
+def test_atom_depths_equal_the_brute_force_oracle(kb):
+    profile = tg.compile_kb(kb)
+    expected = brute_force_atom_depths(kb, profile.fixpoint)
+    assert np.array_equal(np.array(profile.atom_depths(), dtype=float), expected)
 
 
 SAMPLING = hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
