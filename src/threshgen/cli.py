@@ -26,7 +26,8 @@ import argparse
 import os
 import sys
 from contextlib import redirect_stdout
-from itertools import islice
+from itertools import count, islice, product
+from typing import Iterator
 
 from .depth import DepthProfile, compile_kb, depth_text
 from .logic import parse
@@ -139,16 +140,35 @@ def cmd_rarity(args) -> int:
     return 0
 
 
+def _conjunctions(names) -> list[str]:
+    """Signature.atom_text of every atom over names, in index order."""
+    # product varies its last factor fastest, and atom i's bit 0 is names[0].
+    literals = product(*((f"~{name}", name) for name in reversed(names)))
+    return [" & ".join(reversed(row)) for row in literals]
+
+
+def _atom_texts(names) -> Iterator[str]:
+    """Signature.atom_text(i) for i in index order, each one concatenation
+    of a low-names and a high-names conjunction from two small tables, not
+    r literals joined anew per atom."""
+    if not names:
+        return iter(["true"])
+    half = (len(names) + 1) // 2
+    low = _conjunctions(names[:half])
+    high = [""] if half == len(names) else [f" & {text}" for text in _conjunctions(names[half:])]
+    return (head + tail for tail in high for head in low)
+
+
 def cmd_depthmap(args) -> int:
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
     if args.format == "kv":
         _write_kv([("names", ",".join(signature.names))])
-        key, sep = "atom_{}".format, "="
+        keys, sep = map("atom_{}".format, count()), "="
     else:
-        key, sep = signature.atom_text, ": "
-    depths = enumerate(profile.atom_depths())
-    lines = (f"{key(i)}{sep}{depth_text(d)}\n" for i, d in depths)
+        keys, sep = _atom_texts(signature.names), ": "
+    depths = zip(keys, profile.atom_depths())
+    lines = (f"{key}{sep}{depth_text(d)}\n" for key, d in depths)
     # One write per 4096 atoms: there can be 2**24 of them, and with an
     # unbuffered stdout every write is a system call.
     while chunk := "".join(islice(lines, 4096)):

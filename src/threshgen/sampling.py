@@ -34,6 +34,23 @@ chain, and turns each chunk into exception rates at once, so a group
 holds (K, n) rates and no points. Every chain does exactly the arithmetic
 it would do alone, so its points, and hence every quantile and verdict,
 are bit-identical to sampling that grid point by itself.
+
+A verdict's sample depends on its sweep, not on its query, so
+scaling_verdict keeps the last sweep it walked, in one module-level entry,
+and replays it for the next call that asks for the same sweep: one more
+query on the same knowledge base, grid, psi, n, burn-in and seed solves no
+LP and takes no walk. The entry's key is the exact input of the walk: the
+shape and bytes of every grid point's polytope arrays, the derived seeds,
+n and burn_in. It is neither the kb object, so a reloaded knowledge base
+hits, nor eta or the query. The entry holds the grid points' walk spaces
+and each lockstep group's visited points, chunk by chunk; a replay
+regroups the spaces and reads each recorded chunk through the same
+product as a walk, so every quantile is bit-identical. A sweep is
+recorded only when len(sweep) * n * atom_count * 8 bytes, a bound on its
+points known before any LP, is at most 4 MiB; larger sweeps stream and
+record nothing. A miss drops the old entry before it walks and publishes
+the new one only once the whole sweep has walked, so a sweep that raises
+part-way leaves no entry.
 """
 
 from __future__ import annotations
@@ -80,6 +97,12 @@ _DEGENERATE_RADIUS = 1e-12
 # rows themselves (m = q plus the rule rows) stay near 4 MB, 4 MB and
 # 2 MB. A group keeps (K, n) exception rates, not its models.
 _LOCKSTEP_WIDTH = 1024
+# A sweep is recorded for replay when its points, bounded by
+# len(sweep) * n * atom_count * 8 bytes, fit in one lockstep group's
+# normals buffer.
+_REPLAY_BYTES = 4 * 2**20
+# The last recorded sweep: (key, walk spaces, each group's chunks), or None.
+_last_sweep: tuple | None = None
 
 
 @dataclass(eq=False)
@@ -290,17 +313,26 @@ def empirical_quantile(values: np.ndarray, eta: float) -> float:
 
 
 def _walk_group(
-    group: list, weights: np.ndarray, n: int, burn_in: int, eta: float, out: list[float]
+    group: list,
+    weights: np.ndarray,
+    n: int,
+    burn_in: int,
+    eta: float,
+    out: list[float],
+    walk=None,
 ) -> None:
     """Walk a lockstep group of (place, space, seed) chains of one shape
     and write each chain's quantile to out[place]. Each walked chunk
     becomes rates at once, read over each chain's own kept atoms, so the
     group holds (K, n) rates and no models; its walk buffers are released
-    on return, before the next group walks."""
+    on return, before the next group walks. walk(spaces, seeds, n,
+    burn_in) gives the chunks; it is _lockstep unless the caller records
+    or replays the walk."""
     spaces = [space for _, space, _ in group]
     stacked = np.stack([weights[space.keep] for space in spaces])
     rates = np.empty((len(group), n))
-    for stored, visited in _lockstep(spaces, [seed for _, _, seed in group], n, burn_in):
+    chunks = (walk or _lockstep)(spaces, [seed for _, _, seed in group], n, burn_in)
+    for stored, visited in chunks:
         rates[:, stored] = _rates(np.matmul(visited, stacked))
     for (place, _, _), chain_rates in zip(group, rates):
         out[place] = empirical_quantile(chain_rates, eta)
@@ -314,6 +346,7 @@ def _quantiles(
     n: int,
     burn_in: int,
     eta: float,
+    walk=None,
 ) -> list[float]:
     """The (1 - eta)-quantile of 1 - pi(zeta|gamma) over each space's
     models, one seed per space, in order: the one path from a polytope to
@@ -321,7 +354,8 @@ def _quantiles(
     quantile of n copies of it. The others walk from their centers, and
     consecutive ones of the same shape walk in lockstep, up to
     _LOCKSTEP_WIDTH coordinates at a time, which changes no sample.
-    spaces is read one at a time, so a caller may build them lazily.
+    spaces is read one at a time, so a caller may build them lazily. walk
+    stands in for _lockstep, as in _walk_group.
     """
     weights = _weights(query.antecedent, query.consequent, dimension)
     quantiles: list[float] = []
@@ -336,7 +370,7 @@ def _quantiles(
             or space.rows.shape != group[0][1].rows.shape
             or len(group) >= max(1, _LOCKSTEP_WIDTH // space.rows.shape[1])
         ):
-            _walk_group(group, weights, n, burn_in, eta, quantiles)
+            _walk_group(group, weights, n, burn_in, eta, quantiles, walk)
             group = []
         if space is not None:
             group.append((len(quantiles), space, seed))
@@ -426,6 +460,12 @@ def scaling_verdict(
     quantile taken by _quantiles, exactly as conclusion_quantile would
     take it alone; grouping the walks changes no sample. n, burn_in, seed
     and the grid are checked before any polytope is built.
+
+    The sample does not depend on the query or eta. A sweep whose points
+    take at most 4 MiB (len(PSI_SWEEP) * len(grid) * n * atom_count * 8
+    bytes) is recorded, and the next call whose grid polytopes, derived
+    seeds, n and burn_in are the same replays it, with no LP and no walk,
+    to the same quantiles. Only the last recorded sweep is kept.
     """
     grid = tuple(float(d) for d in delta_grid)
     if len(grid) < 3:
@@ -437,22 +477,52 @@ def scaling_verdict(
     _check_run(n, burn_in, seed)
     sweep = list(product(PSI_SWEEP, grid))
     seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
-
-    def spaces() -> Iterator[_Walkspace]:
-        for scale, delta in sweep:
-            point = replace(params, psi=tuple(scale * p for p in params.psi), delta=delta)
-            try:
-                space = _walkspace(build_polytope(kb, point))
-            except InfeasiblePolytopeError as err:
-                raise InfeasiblePolytopeError(
-                    f"polytope is empty at delta={delta} (psi scale {scale});"
-                    " the scaling fit is undefined"
-                ) from err
-            yield space
-
-    quantiles = _quantiles(
-        spaces(), map(int, seeds), query, kb.signature.atom_count, n, burn_in, params.eta
+    systems = [
+        build_polytope(kb, replace(params, psi=tuple(scale * p for p in params.psi), delta=delta))
+        for scale, delta in sweep
+    ]
+    key = (n, burn_in, seeds.tobytes()) + tuple(
+        (array.shape, array.tobytes())
+        for system in systems
+        for array in (system.eq_rows, system.eq_rhs, system.ineq_rows, system.ineq_rhs)
     )
+    global _last_sweep
+    last = _last_sweep
+    hit = last is not None and last[0] == key
+    record = not hit and len(sweep) * n * kb.signature.atom_count * 8 <= _REPLAY_BYTES
+    if hit:
+        spaces, recorded = last[1], iter(last[2])
+        walk = lambda *group: next(recorded)
+    else:
+        _last_sweep = None
+        kept: list[_Walkspace] = []
+        streams: list[list] = []
+
+        def recording(*group):
+            streams.append([(stored, visited.copy()) for stored, visited in _lockstep(*group)])
+            return streams[-1]
+
+        walk = recording if record else None
+
+        def walked() -> Iterator[_Walkspace]:
+            for (scale, delta), system in zip(sweep, systems):
+                try:
+                    space = _walkspace(system)
+                except InfeasiblePolytopeError as err:
+                    raise InfeasiblePolytopeError(
+                        f"polytope is empty at delta={delta} (psi scale {scale});"
+                        " the scaling fit is undefined"
+                    ) from err
+                if record:
+                    kept.append(space)
+                yield space
+
+        spaces = walked()
+    quantiles = _quantiles(
+        spaces, map(int, seeds), query, kb.signature.atom_count, n, burn_in, params.eta, walk
+    )
+    if record:
+        _last_sweep = (key, kept, streams)
     rows = [tuple(quantiles[i : i + len(grid)]) for i in range(0, len(sweep), len(grid))]
     exponents = [_fit_exponent(np.array(grid), np.array(row)) for row in rows]
     verdicts = {_single_verdict(exponent, query.threshold) for exponent in exponents}

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: verdicts, exit codes, kv output."""
 
+import hashlib
 import math
 import os
 import re
@@ -13,9 +14,11 @@ import pytest
 
 import threshgen as tg
 from support import child_env
-from threshgen.cli import main, parse_kv
+from threshgen.cli import _atom_texts, main, parse_kv
 
 TWO_RULE_TEXT = "t => a @ 1\n~a => b @ 1\n"
+# An 18-name chain: t => x0, x0 => x1, ..., x16 => x17, all @ 1.
+CHAIN_TEXT = "t => x0 @ 1\n" + "".join(f"x{i} => x{i + 1} @ 1\n" for i in range(17))
 CONTRADICTION_TEXT = "t => a @ 1\nt => ~a @ 1\n"
 
 
@@ -208,6 +211,23 @@ class TestRarityAndDepthmap:
         assert record["atom_1"] == "0"  # a & ~b
         assert record["atom_2"] == "1"  # ~a & b
         assert record["atom_3"] == "0"  # a & b
+
+    def test_atom_texts_are_the_signature_atom_texts(self):
+        for r in range(11):
+            signature = tg.Signature(tuple(f"n{j}" for j in range(r)))
+            expected = [signature.atom_text(i) for i in range(signature.atom_count)]
+            assert list(_atom_texts(signature.names)) == expected
+
+    def test_depthmap_text_of_a_long_chain(self, tmp_path, capsys):
+        # The sha256 of the 2**18 lines written when each atom's text came
+        # from Signature.atom_text.
+        path = tmp_path / "chain.rules"
+        path.write_text(CHAIN_TEXT)
+        assert main(["depthmap", "--kb", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("~x0 & ~x1 & ~x2 & ")
+        digest = "87d4800ef5880ef26910e0aee7386777d828bedb16753ba1e58d2b0926558e4b"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExplain:
@@ -412,7 +432,10 @@ class TestValidate:
             return SimpleNamespace(status=1, message="Iteration limit reached.")
 
         monkeypatch.setattr(tg.polytope, "linprog", failing_linprog)
-        code = main(["validate", "--kb", kb_file, "--samples", "10", "t => a | b @ 2"])
+        # A seed no other test samples with, so that no earlier sweep is
+        # replayed in place of the LP.
+        argv = ["--kb", kb_file, "--samples", "10", "--seed", "1009", "t => a | b @ 2"]
+        code = main(["validate", *argv])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -525,8 +548,7 @@ for command in {self.SYMBOLIC!r}:
         # VmHWM, unlike ru_maxrss, does not inherit the forking test
         # process's own peak.
         path = tmp_path / "chain.rules"
-        rules = ["t => x0 @ 1"] + [f"x{i} => x{i + 1} @ 1" for i in range(17)]
-        path.write_text("\n".join(rules) + "\n")
+        path.write_text(CHAIN_TEXT)
         script = """
 import sys
 from threshgen.cli import main

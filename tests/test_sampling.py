@@ -17,7 +17,7 @@ from support import (
     reference_walk,
     truncated_beta_quantile,
 )
-from threshgen import sampling
+from threshgen import polytope, sampling
 from threshgen.polytope import _walkspace
 from threshgen.sampling import _walk
 
@@ -491,6 +491,9 @@ class TestScalingVerdict:
         params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
         query = rule(AB, "true", "a | b", 2)
         r1 = tg.scaling_verdict(kb, query, self.GRID, params, n=1500, seed=14)
+        # Another sweep in between, so that the second call walks again
+        # instead of replaying the first.
+        tg.scaling_verdict(kb, query, self.GRID, params, n=1500, seed=15)
         r2 = tg.scaling_verdict(kb, query, self.GRID, params, n=1500, seed=14)
         assert r1.quantiles == r2.quantiles
         assert r1.exponents == r2.exponents
@@ -702,3 +705,104 @@ class TestScalingVerdict:
                 elif best is None or best < j:
                     assert report.verdict != "supports", (kb, query, report)
             cases += 1
+
+@pytest.fixture
+def lps(monkeypatch):
+    """The methods of every LP solved, in order."""
+    calls = []
+    solve = polytope.linprog
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", spy)
+    return calls
+
+
+class TestSweepReplay:
+    # validate-shared's shape: two (gamma, zeta) pairs, each probed at its
+    # largest entailed threshold and one above, on one KB whose 12 grid
+    # polytopes each take one LP.
+    TEXT = "t => a @ 1\n~a => b @ 1\n"
+    GRID = (0.1, 0.05, 0.025, 0.0125)
+    QUERIES = ("t => a | b @ 2", "t => a | b @ 3", "t => a @ 1", "t => a @ 2")
+
+    def verdict(self, query, text=TEXT, names=(), psi=1.0, eta=0.1, grid=GRID, **run):
+        kb = tg.load_kb(text, names)
+        params = tg.ParameterAssignment(psi=(psi,) * kb.size, delta=grid[0], eta=eta)
+        run = {"n": 1000, "seed": 5, "burn_in": 200, **run}
+        return tg.scaling_verdict(kb, tg.parse_query(query, kb.signature), grid, params, **run)
+
+    def test_queries_on_one_sweep_share_its_walk(self, lps):
+        self.verdict(self.QUERIES[0], seed=6)
+        lps.clear()
+        reports = [self.verdict(query) for query in self.QUERIES]
+        assert len(lps) == 12
+        assert [r.verdict for r in reports] == ["supports", "refutes"] * 2
+        for query, report in zip(self.QUERIES, reports):
+            self.verdict(query, seed=6)
+            lps.clear()
+            walked = self.verdict(query)
+            assert len(lps) == 12
+            assert walked.quantiles == report.quantiles
+            assert walked.exponents == report.exponents
+            assert walked.verdict == report.verdict
+
+    def test_eta_is_not_part_of_the_sweep(self, lps):
+        self.verdict(self.QUERIES[0])
+        lps.clear()
+        self.verdict(self.QUERIES[0], eta=0.2)
+        assert lps == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": 999},
+            {"seed": 6},
+            {"burn_in": 201},
+            {"psi": 0.9},
+            {"grid": (0.1, 0.05, 0.025, 0.01)},
+            {"names": ("c",)},
+        ],
+        ids=["n", "seed", "burn_in", "psi", "grid", "names"],
+    )
+    def test_a_changed_sweep_walks_afresh(self, lps, change):
+        self.verdict(self.QUERIES[0])
+        lps.clear()
+        self.verdict(self.QUERIES[0], **change)
+        assert len(lps) == 12
+
+    def test_sweep_over_the_budget_is_not_recorded(self, lps):
+        # 3 names: the 12 grid points' models take 12 * 8 * 8 bytes per
+        # sample, so 5461 samples are the most that fit in 4 MiB.
+        most = 4 * 2**20 // (12 * 8 * 8)
+        for n, solved in ((most, 12), (most + 1, 24)):
+            lps.clear()
+            for _ in range(2):
+                self.verdict(self.QUERIES[0], names=("c",), n=n, burn_in=0)
+            assert len(lps) == solved
+
+    def test_sweep_that_raises_part_way_records_nothing(self, lps, monkeypatch):
+        # At psi x1 and delta 0.9 both rules' rows are vacuous (psi * delta
+        # >= 1), so that point walks alone as soon as delta 0.7 brings the
+        # rows back; psi x0.5 then empties the polytope at delta 0.7.
+        before = self.verdict(self.QUERIES[0])
+        groups = []
+        lockstep = sampling._lockstep
+
+        def spy(spaces, *args):
+            groups.append(len(spaces))
+            return lockstep(spaces, *args)
+
+        monkeypatch.setattr(sampling, "_lockstep", spy)
+        kb = tg.load_kb("t => a @ 1\nt => ~a @ 1\n")
+        params = tg.ParameterAssignment(psi=(1.2, 1.2), delta=0.9)
+        query = tg.parse_query("t => a @ 1", kb.signature)
+        for _ in range(2):
+            with pytest.raises(tg.InfeasiblePolytopeError, match=r"delta=0.7 \(psi scale 0.5"):
+                tg.scaling_verdict(kb, query, (0.9, 0.7, 0.6), params, n=300, burn_in=10)
+        assert groups == [1, 1]
+        lps.clear()
+        assert self.verdict(self.QUERIES[0]) == before
+        assert len(lps) == 12
