@@ -245,7 +245,7 @@ def cmd_validate(args) -> int:
         report = scaling_verdict(
             kb, query, grid, params, n=args.samples, seed=args.seed
         )
-    except NumericalError as error:
+    except (NumericalError, MemoryError) as error:
         return _fail(error)
     if args.format == "kv":
         pairs = [

@@ -155,9 +155,11 @@ def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSy
 class _Walkspace:
     """The polytope over its kept atoms, in model coordinates: the points
     x with sum(x) = 1 and rows @ x <= rhs, the rule rows that cut that
-    plane followed by -I. center and radius describe the largest ball
-    inside, within the plane; with one kept atom the polytope is the point
-    [1.0] and radius is 0."""
+    plane followed by -I with right-hand side 0. The sampler's walk kernel
+    relies on that layout: it takes the -I block's projections from the
+    directions and its slack as the walked point. center and radius
+    describe the largest ball inside, within the plane; with one kept atom
+    the polytope is the point [1.0] and radius is 0."""
 
     keep: np.ndarray
     rows: np.ndarray

@@ -24,7 +24,10 @@ shorter one exactly.
 
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
 its own polytope and with its own random stream, and hands its visited
-points back one chunk at a time. sample_uniform is the K = 1 case and
+points back one chunk at a time. Only the rule rows are multiplied by the
+directions: the non-negativity rows meet a direction d at -d, and their
+slack is the walk's point, so the visited points are read from the slack
+as the walk goes. sample_uniform is the K = 1 case and
 scatters the chunks into its (n, dimension) points. One path, _quantiles,
 takes polytopes to quantiles for both conclusion_quantile (one polytope)
 and scaling_verdict (a grid of them): it walks consecutive polytopes of
@@ -84,18 +87,18 @@ SUPPORT_MARGIN = 0.3
 REFUTE_MARGIN = 0.7
 
 # Steps drawn at once from each chain's generator and projected onto the
-# rows in one matmul per chain; 512 keeps the chunk's projections near
+# rule rows in one matmul per chain; 512 keeps the chunk's normals near
 # 1 MB per 256 walked coordinates.
 _CHUNK = 512
-# Steps whose chord ends are divided out at once: the (64, K, 2, m) ends
-# buffer is an eighth of a whole chunk's.
+# Steps whose chords are cut at once: the (64, K, m) projections on every
+# row and the (64, K, 2, m) ends buffer are an eighth of a whole chunk's.
 _SLICE = 64
 _DEGENERATE_RADIUS = 1e-12
 # Coordinates walked in lockstep: a group of chains of dimension q holds
-# at most _LOCKSTEP_WIDTH // q of them, so its (K, 512, q) normals, the
-# projections of the normals on its K (m, q) constraint rows and those
-# rows themselves (m = q plus the rule rows) stay near 4 MB, 4 MB and
-# 2 MB. A group keeps (K, n) exception rates, not its models.
+# at most _LOCKSTEP_WIDTH // q of them, so its (K, 512, q) normals and
+# its K (m, q) constraint rows (m = q plus the rule rows) stay near 4 MB
+# and 2 MB, and the kernel's projections on the rule rows and its 64-step
+# slices near 2 MB. A group keeps (K, n) exception rates, not its models.
 _LOCKSTEP_WIDTH = 1024
 # A sweep is recorded for replay when its points, bounded by
 # len(sweep) * n * atom_count * 8 bytes, fit in one lockstep group's
@@ -137,37 +140,51 @@ def _walk(
     (hi < lo) keeps the chain in place rather than stepping outside.
     Every visited point is written to out[k] and y[k] ends at the last.
 
+    Precondition: the rows are laid out as _Walkspace lays them out, the
+    r = m - q rule rows followed by -I with right-hand side 0. The kernel
+    relies on it twice. A direction d meets the -I block at -d, so only
+    the rule rows are multiplied by the directions. And that block's
+    slack, 0 - (-I) y, is the point itself, so each visited point is read
+    from the slack after its step, with the same additions in the same
+    order as a running sum of the moves from y.
+
     Each chain does exactly the floating-point operations it would do
     alone, so K chains in one call give the same points, bit for bit, as
-    K calls of one chain. The chord directions are projected with one
-    matmul per chain over every row of normals, which may hold more rows
-    than steps are taken, so a partial chunk repeats the arithmetic of
-    the start of a full one; BLAS may round a row of a shorter product
-    differently, so the product is never split. The rows that bound a
-    chord are found for all chains at once, 64 steps at a time: the slack
-    is divided by a NaN-masked array of the rising rows and the negated
-    falling rows, and one fmin reduction gives hi and -lo. The step length
-    itself is plain float arithmetic per chain. out may be
-    normals[:, :steps]: the directions are read before the visited points
-    are written over them.
+    K calls of one chain. The directions are projected on the rule rows
+    with one matmul per chain over every row of normals, which may hold
+    more rows than steps are taken, so a partial chunk repeats the
+    arithmetic of the start of a full one; BLAS may round a row of a
+    shorter product differently, so the product is never split. The rows
+    that bound a chord are found for all chains at once, 64 steps at a
+    time: the slack is divided by a NaN-masked array of the rising rows
+    and the negated falling rows, and one fmin reduction gives hi and
+    -lo. The step length itself is plain float arithmetic per chain. out
+    may be normals[:, :steps]: each 64-step slice of directions is read
+    before the visited points of that slice are written over it.
     """
     chains, steps = uniforms.shape
     m = len(rows[0])
+    r = m - y.shape[1]
     moves = np.zeros((steps, chains, 1))
     slack = np.array([b - a @ x for a, b, x in zip(rows, rhs, y)])
     slack_by_side = slack[:, None, :]
-    along = np.empty((chains, normals.shape[1], m))
+    point = slack[:, r:]
+    rule_along = np.empty((chains, normals.shape[1], r))
     for k in range(chains):
-        np.matmul(normals[k], rows[k].T, out=along[k])
+        np.matmul(normals[k], rows[k][:r].T, out=rule_along[k])
+    along = np.empty((_SLICE, chains, m))
     ends = np.empty((_SLICE, chains, 2, m))
     ratio = np.empty((chains, 2, m))
     bounds = np.empty((chains, 2))
     picks = uniforms.T.tolist()
+    visits = out.transpose(1, 0, 2)
     inf = math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for first in range(0, steps, _SLICE):
             last = min(first + _SLICE, steps)
-            slice_along = along[:, first:last].transpose(1, 0, 2)
+            slice_along = along[: last - first]
+            slice_along[:, :, :r] = rule_along[:, first:last].transpose(1, 0, 2)
+            np.negative(normals[:, first:last].transpose(1, 0, 2), out=slice_along[:, :, r:])
             slice_ends = ends[: last - first]
             # Rising rows bound the chord above and falling rows below.
             # Every other entry is 0/False = NaN, which the fmin reduction
@@ -176,8 +193,8 @@ def _walk(
             np.divide(0.0, slice_along < 0.0, out=slice_ends[:, :, 1])
             slice_ends[:, :, 0] += slice_along
             slice_ends[:, :, 1] -= slice_along
-            for chain_picks, step_ends, step_along, moved in zip(
-                picks[first:last], slice_ends, slice_along, moves[first:last]
+            for chain_picks, step_ends, step_along, moved, visit in zip(
+                picks[first:last], slice_ends, slice_along, moves[first:last], visits[first:last]
             ):
                 np.divide(slack_by_side, step_ends, out=ratio)
                 np.fmin.reduce(ratio, axis=2, out=bounds)
@@ -190,12 +207,8 @@ def _walk(
                     if -inf < lo <= hi < inf:
                         moved[k] = lo + u * (hi - lo)
                 slack -= moved * step_along
-    # Adding y to the first row before the running sum keeps the additions
-    # in walk order.
-    np.multiply(moves.transpose(1, 0, 2), normals[:, :steps], out=out)
-    out[:, 0] += y
-    np.cumsum(out, axis=1, out=out)
-    y[:] = out[:, -1]
+                visit[...] = point
+    y[:] = point
 
 
 def _lockstep(

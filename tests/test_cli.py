@@ -416,6 +416,7 @@ class TestValidate:
             (["--seed", "-1"], "seed must be non-negative"),
             (["--samples", "0"], "n must be at least 1"),
             (["--delta-grid", "0.5,0.1,0"], "every grid delta must lie in (0, 1)"),
+            (["--samples", str(10**15)], "Unable to allocate"),
         ],
     )
     def test_bad_run_arguments_rejected(self, kb_file, capsys, flags, message):

@@ -106,6 +106,10 @@ def test_center_is_a_model(kb, delta):
         center[:, space.keep] = space.center
         assert tg.max_violation(system, center) <= 1e-9
         assert np.all(space.rows @ space.center <= space.rhs + 1e-9)
+        # The walk kernel's precondition: rule rows, then -I with rhs 0.
+        q = space.keep.size
+        assert np.array_equal(space.rows[-q:], -np.eye(q))
+        assert np.array_equal(space.rhs[-q:], np.zeros(q))
 
 
 @SAMPLING

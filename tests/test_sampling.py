@@ -55,11 +55,13 @@ def batch_mean_se(values, batches=100):
 
 
 def walk_inputs(seed, steps=256, dim=3, cut=1.5):
-    """A feasible random walk problem: a box with a diagonal cut."""
+    """A feasible random walk problem in the kernel's row layout: the box
+    [0, 2]^dim with a diagonal cut sum(x) <= cut + dim, as rule rows I and
+    the cut, then -I. The walk starts at the box's centre."""
     rng = np.random.default_rng(seed)
-    rows = np.vstack([np.eye(dim), -np.eye(dim), np.ones((1, dim))])
-    rhs = np.concatenate([np.ones(2 * dim), [cut]])
-    y = np.zeros(dim)
+    rows = np.vstack([np.eye(dim), np.ones((1, dim)), -np.eye(dim)])
+    rhs = np.concatenate([np.full(dim, 2.0), [cut + dim], np.zeros(dim)])
+    y = np.ones(dim)
     normals = rng.standard_normal((steps, dim))
     uniforms = rng.random(steps)
     return rows, rhs, y, normals, uniforms
@@ -134,6 +136,28 @@ class TestWalkKernel:
         _walk(rows, rhs, y, normals, uniforms[:, :steps], normals[:, :steps])
         assert np.array_equal(normals[:, :steps], out_apart)
         assert np.array_equal(y, y_apart)
+
+    def test_chunk_buffers_stay_small(self):
+        # One 512-step chunk of four 256-coordinate chains behind 8 rule
+        # rows, as at 8 names. Projections of the directions on all 264
+        # rows would take 4.3 MB by themselves; the kernel projects on the
+        # rule rows only and cuts chords 64 steps at a time, in about 2 MB.
+        chains, q, rules = 4, 256, 8
+        rng = np.random.default_rng(4)
+        rule_rows = np.vstack([np.ones((1, q)), rng.random((rules - 1, q))])
+        rows = np.stack([np.vstack([rule_rows, -np.eye(q)])] * chains)
+        rhs = np.stack([np.concatenate([np.ones(rules), np.zeros(q)])] * chains)
+        y = np.full((chains, q), 0.5 / q)
+        normals = rng.standard_normal((chains, 512, q))
+        uniforms = rng.random((chains, 512))
+        tracemalloc.start()
+        try:
+            _walk(rows, rhs, y, normals, uniforms, normals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert np.all(rows @ y[..., None] <= rhs[..., None] + 1e-12)
 
     def test_single_name_distribution(self):
         _, system = simple_system(delta=0.1)
