@@ -154,12 +154,10 @@ def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSy
 @dataclass(eq=False)
 class _Walkspace:
     """The polytope over its kept atoms, in model coordinates: the points
-    x with sum(x) = 1 and rows @ x <= rhs, the rule rows that cut that
-    plane followed by -I with right-hand side 0. The sampler's walk kernel
-    relies on that layout: it takes the -I block's projections from the
-    directions and its slack as the walked point. center and radius
-    describe the largest ball inside, within the plane; with one kept atom
-    the polytope is the point [1.0] and radius is 0."""
+    x >= 0 with sum(x) = 1 and rows @ x <= rhs. rows holds only the rule
+    rows that cut that plane: x >= 0 is implicit, as in PolytopeSystem.
+    center and radius describe the largest ball inside, within the plane;
+    with one kept atom the polytope is the point [1.0] and radius is 0."""
 
     keep: np.ndarray
     rows: np.ndarray
@@ -191,9 +189,12 @@ def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
 
 
 def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center and radius of the largest ball inside rows @ x <= rhs on the
-    plane sum(x) = 1, within which a row's norm is that of row - mean(row)."""
+    """Center and radius of the largest ball inside rows @ x <= rhs and
+    x >= 0 on the plane sum(x) = 1, within which a row's norm is that of
+    row - mean(row). The LP takes x >= 0 as -I rows after the given ones."""
     q = rows.shape[1]
+    rows = np.vstack([rows, -np.eye(q)])
+    rhs = np.concatenate([rhs, np.zeros(q)])
     norms = np.linalg.norm(rows - rows.mean(axis=1, keepdims=True), axis=1)
     objective = np.zeros(q + 1)
     objective[q] = -1.0
@@ -253,9 +254,8 @@ def _walkspace(system: PolytopeSystem) -> _Walkspace:
             continue
         rows.append(kept)
         rhs.append(bound)
-    # Non-negativity of the kept coordinates.
-    rows = np.vstack(rows + [-np.eye(count)])
-    rhs = np.array(rhs + [0.0] * count)
+    rows = np.array(rows).reshape(len(rows), count)
+    rhs = np.array(rhs)
     if count == 1:
         # One free coordinate carrying all mass; every row was screened
         # above, so the polytope is that single point.

@@ -24,19 +24,21 @@ shorter one exactly.
 
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
 its own polytope and with its own random stream, and hands its visited
-points back one chunk at a time. Only the rule rows are multiplied by the
-directions: the non-negativity rows meet a direction d at -d, and their
-slack is the walk's point, so the visited points are read from the slack
-as the walk goes. sample_uniform is the K = 1 case and
-scatters the chunks into its (n, dimension) points. One path, _quantiles,
-takes polytopes to quantiles for both conclusion_quantile (one polytope)
-and scaling_verdict (a grid of them): it walks consecutive polytopes of
-the same shape together, at most 1024 coordinates per group, which pays
-NumPy's per-call cost once per step for the group instead of once per
-chain, and turns each chunk into exception rates at once, so a group
-holds (K, n) rates and no points. Every chain does exactly the arithmetic
-it would do alone, so its points, and hence every quantile and verdict,
-are bit-identical to sampling that grid point by itself.
+points back one chunk at a time. _lockstep gives each chain its rule rows
+followed by the non-negativity rows, -I with right-hand side 0; only the
+rule rows are multiplied by the directions, since the -I rows meet a
+direction d at -d, and their slack is the walk's point, so the visited
+points are read from the slack as the walk goes. sample_uniform is the
+K = 1 case and scatters the chunks into its (n, dimension) points.
+Polytopes become quantiles in three steps, for conclusion_quantile (one
+polytope) and scaling_verdict (a grid of them) alike: _groups plans which
+polytopes walk together, consecutive ones of the same shape and at most
+1024 coordinates per group, which pays NumPy's per-call cost once per
+step for the group instead of once per chain; _walks walks each group;
+and _quantiles turns each walked chunk into exception rates at once, so
+a group holds (K, n) rates and no points. Every chain does exactly the
+arithmetic it would do alone, so its points, and hence every quantile and
+verdict, are bit-identical to sampling that grid point by itself.
 
 A verdict's sample depends on its sweep, not on its query, so
 scaling_verdict keeps the last sweep it walked, in one module-level entry,
@@ -46,27 +48,28 @@ LP and takes no walk. The entry's key is the exact input of the walk: the
 shape and bytes of every grid point's polytope arrays, the derived seeds,
 n and burn_in. It is neither the kb object, so a reloaded knowledge base
 hits, nor eta or the query. The entry holds the grid points' walk spaces
-and each lockstep group's visited points, chunk by chunk; a replay
-regroups the spaces and reads each recorded chunk through the same
-product as a walk, so every quantile is bit-identical. A sweep is
+and, for each lockstep group, its indices and its visited points chunk by
+chunk; a replay hands those recorded walks to _quantiles, which reads
+them as it reads a walk, so every quantile is bit-identical. A sweep is
 recorded only when len(sweep) * n * atom_count * 8 bytes, a bound on its
 points known before any LP, is at most 4 MiB; larger sweeps stream and
-record nothing. A miss drops the old entry before it walks and publishes
-the new one only once the whole sweep has walked, so a sweep that raises
-part-way leaves no entry.
+record nothing. A miss drops the old entry and builds every grid point's
+walk space before any walk, so an empty grid point raises before any
+walk; the new entry is published only once the whole sweep has walked,
+so a sweep that raises leaves no entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .depth import Depth, Generalization, KnowledgeBase
-from .logic import Proposition
+from .logic import Proposition, SignatureError
 from .polytope import (
     InfeasiblePolytopeError,
     ParameterAssignment,
@@ -104,7 +107,7 @@ _LOCKSTEP_WIDTH = 1024
 # len(sweep) * n * atom_count * 8 bytes, fit in one lockstep group's
 # normals buffer.
 _REPLAY_BYTES = 4 * 2**20
-# The last recorded sweep: (key, walk spaces, each group's chunks), or None.
+# The last recorded sweep: (key, walk spaces, recorded walks), or None.
 _last_sweep: tuple | None = None
 
 
@@ -140,7 +143,7 @@ def _walk(
     (hi < lo) keeps the chain in place rather than stepping outside.
     Every visited point is written to out[k] and y[k] ends at the last.
 
-    Precondition: the rows are laid out as _Walkspace lays them out, the
+    Precondition: the rows are laid out as _lockstep lays them out, the
     r = m - q rule rows followed by -I with right-hand side 0. The kernel
     relies on it twice. A direction d meets the -I block at -d, so only
     the rule rows are multiplied by the directions. And that block's
@@ -232,8 +235,13 @@ def _lockstep(
     starts by putting the chain's point back on that plane.
     """
     q = spaces[0].rows.shape[1]
-    rows = [space.rows for space in spaces]
-    rhs = [space.rhs for space in spaces]
+    # _walk's layout: the rule rows, then -I with right-hand side 0. The
+    # kernel takes the -I rows' projections from the directions and their
+    # slack as the point, but they stay in the rows because each chunk
+    # starts from one product over all of them: the rule rows alone may
+    # round their slack differently, which would change every walk.
+    rows = [np.vstack([space.rows, -np.eye(q)]) for space in spaces]
+    rhs = [np.concatenate([space.rhs, np.zeros(q)]) for space in spaces]
     y = np.stack([space.center for space in spaces])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     normals = np.empty((len(spaces), _CHUNK, q))
@@ -309,7 +317,10 @@ def exception_rate(
 
     The zero-antecedent convention matches reading the conditional as 1
     when gamma has no mass: such models never witness an exception.
+    The propositions must be over points.shape[1] atoms.
     """
+    if gamma.signature.atom_count != points.shape[1]:
+        raise SignatureError("proposition signature differs from the points")
     return _rates(points @ _weights(gamma, zeta, points.shape[1]))
 
 
@@ -325,69 +336,64 @@ def empirical_quantile(values: np.ndarray, eta: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
-def _walk_group(
-    group: list,
-    weights: np.ndarray,
-    n: int,
-    burn_in: int,
-    eta: float,
-    out: list[float],
-    walk=None,
-) -> None:
-    """Walk a lockstep group of (place, space, seed) chains of one shape
-    and write each chain's quantile to out[place]. Each walked chunk
-    becomes rates at once, read over each chain's own kept atoms, so the
-    group holds (K, n) rates and no models; its walk buffers are released
-    on return, before the next group walks. walk(spaces, seeds, n,
-    burn_in) gives the chunks; it is _lockstep unless the caller records
-    or replays the walk."""
-    spaces = [space for _, space, _ in group]
-    stacked = np.stack([weights[space.keep] for space in spaces])
-    rates = np.empty((len(group), n))
-    chunks = (walk or _lockstep)(spaces, [seed for _, _, seed in group], n, burn_in)
+def _groups(spaces: list[_Walkspace]) -> list[list[int]]:
+    """The lockstep plan: the indices of the spaces that walk together,
+    group by group. A group takes consecutive walked spaces of one
+    rows.shape, up to _LOCKSTEP_WIDTH coordinates; single-point spaces
+    walk in none and do not split one."""
+    groups: list[list[int]] = []
+    for index, space in enumerate(spaces):
+        if space.radius <= _DEGENERATE_RADIUS:
+            continue
+        group = groups[-1] if groups else []
+        width = max(1, _LOCKSTEP_WIDTH // space.rows.shape[1])
+        if group and spaces[group[0]].rows.shape == space.rows.shape and len(group) < width:
+            group.append(index)
+        else:
+            groups.append([index])
+    return groups
+
+
+def _walks(spaces: list[_Walkspace], seeds: list[int], n: int, burn_in: int) -> Iterator:
+    """Each group of _groups(spaces) with its lockstep walk, one seed per
+    space; a group walks only once the one before it has been read."""
+    for group in _groups(spaces):
+        chains = [spaces[i] for i in group]
+        yield group, _lockstep(chains, [seeds[i] for i in group], n, burn_in)
+
+
+def _read_group(
+    chains: list[_Walkspace], chunks: Iterable, weights: np.ndarray, n: int, eta: float
+) -> list[float]:
+    """The quantile of each chain of one group's walk. Each chunk becomes
+    rates at once, read over each chain's own kept atoms, so the group
+    holds (K, n) rates and no models, and they are released on return,
+    before the next group walks."""
+    stacked = np.stack([weights[space.keep] for space in chains])
+    rates = np.empty((len(chains), n))
     for stored, visited in chunks:
         rates[:, stored] = _rates(np.matmul(visited, stacked))
-    for (place, _, _), chain_rates in zip(group, rates):
-        out[place] = empirical_quantile(chain_rates, eta)
+    return [empirical_quantile(chain_rates, eta) for chain_rates in rates]
 
 
 def _quantiles(
-    spaces: Iterable[_Walkspace],
-    seeds: Iterable[int],
-    query: Generalization,
-    dimension: int,
-    n: int,
-    burn_in: int,
-    eta: float,
-    walk=None,
+    spaces: list[_Walkspace], walks, query: Generalization, dimension: int, n: int, eta: float
 ) -> list[float]:
     """The (1 - eta)-quantile of 1 - pi(zeta|gamma) over each space's
-    models, one seed per space, in order: the one path from a polytope to
-    its quantile. A single-point space gives the rate at its point, the
-    quantile of n copies of it. The others walk from their centers, and
-    consecutive ones of the same shape walk in lockstep, up to
-    _LOCKSTEP_WIDTH coordinates at a time, which changes no sample.
-    spaces is read one at a time, so a caller may build them lazily. walk
-    stands in for _lockstep, as in _walk_group.
-    """
+    models, in order. A single-point space gives the rate at its point,
+    the quantile of n copies of it. The others are read from walks, the
+    (group, chunks) pairs of _walks or a recording of them."""
     weights = _weights(query.antecedent, query.consequent, dimension)
-    quantiles: list[float] = []
-    group: list[tuple[int, _Walkspace, int]] = []
-    # The None after the last space walks the group still open.
-    for space, seed in chain(zip(spaces, seeds), [(None, 0)]):
-        if space is not None and space.radius <= _DEGENERATE_RADIUS:
-            quantiles.append(float(_rates(space.center @ weights[space.keep])))
-            continue
-        if group and (
-            space is None
-            or space.rows.shape != group[0][1].rows.shape
-            or len(group) >= max(1, _LOCKSTEP_WIDTH // space.rows.shape[1])
-        ):
-            _walk_group(group, weights, n, burn_in, eta, quantiles, walk)
-            group = []
-        if space is not None:
-            group.append((len(quantiles), space, seed))
-            quantiles.append(math.nan)
+    quantiles = [
+        float(_rates(space.center @ weights[space.keep]))
+        if space.radius <= _DEGENERATE_RADIUS
+        else math.nan
+        for space in spaces
+    ]
+    for group, chunks in walks:
+        chains = [spaces[i] for i in group]
+        for i, quantile in zip(group, _read_group(chains, chunks, weights, n, eta)):
+            quantiles[i] = quantile
     return quantiles
 
 
@@ -403,10 +409,11 @@ def conclusion_quantile(
     models sampled uniformly from the kb polytope at params, as
     sample_uniform would draw them."""
     _check_run(n, burn_in, seed)
-    space = _walkspace(build_polytope(kb, params))
-    (quantile,) = _quantiles(
-        [space], [seed], query, kb.signature.atom_count, n, burn_in, params.eta
-    )
+    if query.signature != kb.signature:
+        raise SignatureError("query signature differs from knowledge base")
+    spaces = [_walkspace(build_polytope(kb, params))]
+    walks = _walks(spaces, [seed], n, burn_in)
+    (quantile,) = _quantiles(spaces, walks, query, kb.signature.atom_count, n, params.eta)
     return quantile
 
 
@@ -468,6 +475,8 @@ def scaling_verdict(
     delta. The grid must have at least 3 strictly decreasing deltas, and
     every grid polytope must be nonempty: an infeasible point aborts,
     naming its delta, since quantiles of an empty model set mean nothing.
+    Every grid polytope is solved before any is walked, so it aborts
+    before any walk. The query must be over the kb's signature.
 
     Each grid point is sampled with its own seed, drawn from seed, and its
     quantile taken by _quantiles, exactly as conclusion_quantile would
@@ -488,6 +497,8 @@ def scaling_verdict(
     if not all(0 < d < 1 for d in grid):
         raise ValueError(f"every grid delta must lie in (0, 1), got {grid!r}")
     _check_run(n, burn_in, seed)
+    if query.signature != kb.signature:
+        raise SignatureError("query signature differs from knowledge base")
     sweep = list(product(PSI_SWEEP, grid))
     seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
     systems = [
@@ -500,42 +511,27 @@ def scaling_verdict(
         for array in (system.eq_rows, system.eq_rhs, system.ineq_rows, system.ineq_rhs)
     )
     global _last_sweep
-    last = _last_sweep
-    hit = last is not None and last[0] == key
-    record = not hit and len(sweep) * n * kb.signature.atom_count * 8 <= _REPLAY_BYTES
-    if hit:
-        spaces, recorded = last[1], iter(last[2])
-        walk = lambda *group: next(recorded)
+    if _last_sweep is not None and _last_sweep[0] == key:
+        _, spaces, walks = _last_sweep
     else:
         _last_sweep = None
-        kept: list[_Walkspace] = []
-        streams: list[list] = []
-
-        def recording(*group):
-            streams.append([(stored, visited.copy()) for stored, visited in _lockstep(*group)])
-            return streams[-1]
-
-        walk = recording if record else None
-
-        def walked() -> Iterator[_Walkspace]:
-            for (scale, delta), system in zip(sweep, systems):
-                try:
-                    space = _walkspace(system)
-                except InfeasiblePolytopeError as err:
-                    raise InfeasiblePolytopeError(
-                        f"polytope is empty at delta={delta} (psi scale {scale});"
-                        " the scaling fit is undefined"
-                    ) from err
-                if record:
-                    kept.append(space)
-                yield space
-
-        spaces = walked()
-    quantiles = _quantiles(
-        spaces, map(int, seeds), query, kb.signature.atom_count, n, burn_in, params.eta, walk
-    )
-    if record:
-        _last_sweep = (key, kept, streams)
+        spaces = []
+        for (scale, delta), system in zip(sweep, systems):
+            try:
+                spaces.append(_walkspace(system))
+            except InfeasiblePolytopeError as err:
+                raise InfeasiblePolytopeError(
+                    f"polytope is empty at delta={delta} (psi scale {scale});"
+                    " the scaling fit is undefined"
+                ) from err
+        walks = _walks(spaces, seeds.tolist(), n, burn_in)
+        if len(sweep) * n * kb.signature.atom_count * 8 <= _REPLAY_BYTES:
+            walks = [
+                (group, [(stored, visited.copy()) for stored, visited in chunks])
+                for group, chunks in walks
+            ]
+            _last_sweep = (key, spaces, walks)
+    quantiles = _quantiles(spaces, walks, query, kb.signature.atom_count, n, params.eta)
     rows = [tuple(quantiles[i : i + len(grid)]) for i in range(0, len(sweep), len(grid))]
     exponents = [_fit_exponent(np.array(grid), np.array(row)) for row in rows]
     verdicts = {_single_verdict(exponent, query.threshold) for exponent in exponents}

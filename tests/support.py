@@ -179,7 +179,11 @@ def exact_quantile(kb, params, query):
     if space.radius <= 0.0:
         raise ValueError("the polytope has no interior to measure")
     keep = space.keep
-    rows, rhs = _drop_last(space.rows, space.rhs)
+    # The walk space leaves x >= 0 implicit; the volumes need its rows.
+    rows, rhs = _drop_last(
+        np.vstack([space.rows, -np.eye(keep.size)]),
+        np.concatenate([space.rhs, np.zeros(keep.size)]),
+    )
     whole = _volume(rows, rhs, space.center[:-1])
     gamma, both = (
         tg.indicator(prop.mask, system.dimension)[keep]

@@ -1,12 +1,15 @@
 """Property tests over random knowledge bases of up to 4 names."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import threshgen as tg
 from support import NAMES, brute_force_atom_depths, lockstep_points
+from threshgen import sampling
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _DEGENERATE_RADIUS
+from threshgen.sampling import _DEGENERATE_RADIUS, _walk as walk
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -106,10 +109,21 @@ def test_center_is_a_model(kb, delta):
         center[:, space.keep] = space.center
         assert tg.max_violation(system, center) <= 1e-9
         assert np.all(space.rows @ space.center <= space.rhs + 1e-9)
-        # The walk kernel's precondition: rule rows, then -I with rhs 0.
-        q = space.keep.size
-        assert np.array_equal(space.rows[-q:], -np.eye(q))
-        assert np.array_equal(space.rhs[-q:], np.zeros(q))
+        if space.radius <= _DEGENERATE_RADIUS:
+            continue
+        # The walk kernel's precondition, met by _lockstep: the space's
+        # rule rows, then -I with rhs 0.
+        seen = []
+
+        def spy(rows, rhs, *args):
+            seen.append((rows[0], rhs[0]))
+            return walk(rows, rhs, *args)
+
+        with mock.patch.object(sampling, "_walk", spy):
+            next(sampling._lockstep([space], [0], 1, 0))
+        (rows, rhs), q = seen[0], space.keep.size
+        assert np.array_equal(rows, np.vstack([space.rows, -np.eye(q)]))
+        assert np.array_equal(rhs, np.concatenate([space.rhs, np.zeros(q)]))
 
 
 @SAMPLING

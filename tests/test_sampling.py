@@ -333,6 +333,12 @@ class TestExceptionRate:
         # Row 3: pi(a) = 0, conditional read as 1, rate 0.
         assert np.allclose(rates, [0.5, 0.5, 0.0])
 
+    def test_propositions_over_other_atoms_are_refused(self):
+        points = np.array([[0.25, 0.25, 0.25, 0.25]])
+        for sig in (A1, tg.Signature(("a", "b", "c"))):
+            with pytest.raises(tg.SignatureError):
+                tg.exception_rate(points, tg.parse("a", sig), tg.parse("a", sig))
+
     def test_impossible_antecedent_never_excepts(self):
         points = np.array([[0.25, 0.25, 0.25, 0.25]])
         rates = tg.exception_rate(points, tg.parse("false", AB), tg.parse("a", AB))
@@ -542,7 +548,7 @@ class TestScalingVerdict:
         with pytest.raises(tg.InfeasiblePolytopeError, match="0.3"):
             tg.scaling_verdict(kb, query, (0.9, 0.7, 0.3), params, n=100, seed=0)
 
-    def test_quantiles_equal_per_point_quantiles(self):
+    def test_quantiles_equal_per_point_quantiles(self, lps):
         # Over (0.9, 0.6, 0.3) the psi x2 row drops the first rule's row at
         # 0.9 and 0.6, so the grid mixes reduced shapes. Wherever the second
         # rule's psi * delta is below 1 (all of psi x0.5, and delta 0.3 at
@@ -562,6 +568,12 @@ class TestScalingVerdict:
         report = tg.scaling_verdict(kb, query, grid, params, n=700, seed=15, burn_in=4000)
         expected = per_point_quantiles(kb, query, grid, params, 700, 15, 4000)
         assert np.array_equal(report.quantiles, expected)
+        # The same sweep again replays the recorded groups of both shapes,
+        # with the single-point spaces between them, and solves no LP.
+        lps.clear()
+        replayed = tg.scaling_verdict(kb, query, grid, params, n=700, seed=15, burn_in=4000)
+        assert lps == []
+        assert np.array_equal(replayed.quantiles, expected)
         spaces = [
             _walkspace(
                 tg.build_polytope(
@@ -603,7 +615,8 @@ class TestScalingVerdict:
 
         def rates(group, seeds):
             read.clear()
-            sampling._quantiles(group, seeds, query, AB.atom_count, 700, 100, 0.1)
+            walks = sampling._walks(group, seeds, 700, 100)
+            sampling._quantiles(group, walks, query, AB.atom_count, 700, 0.1)
             return list(read)
 
         seeds = [3, 4]
@@ -706,6 +719,16 @@ class TestScalingVerdict:
         for grid in ((0.1, 0.05, 0.0), (0.1, 0.05, -0.5), (1.5, 0.5, 0.1)):
             with pytest.raises(ValueError, match=r"\(0, 1\)"):
                 tg.scaling_verdict(kb, query, grid, params, n=100)
+        # A query over another signature, even one of the same atom count,
+        # is refused rather than read over the kb's atoms.
+        kb = tg.load_kb("t => a @ 1\n")
+        params = tg.ParameterAssignment(psi=(1.0,), delta=0.1)
+        for names in (("b", "a"), ("a", "b", "c"), ("b",)):
+            query = tg.parse_query(f"t => ~{names[-1]} @ 1", tg.Signature(names))
+            with pytest.raises(tg.SignatureError, match="differs from knowledge base"):
+                tg.scaling_verdict(kb, query, self.GRID, params, n=100)
+            with pytest.raises(tg.SignatureError, match="differs from knowledge base"):
+                tg.conclusion_quantile(kb, params, query, n=100)
 
     def test_agreement_with_symbolic_engine(self):
         rng = np.random.default_rng(43)
@@ -809,8 +832,9 @@ class TestSweepReplay:
 
     def test_sweep_that_raises_part_way_records_nothing(self, lps, monkeypatch):
         # At psi x1 and delta 0.9 both rules' rows are vacuous (psi * delta
-        # >= 1), so that point walks alone as soon as delta 0.7 brings the
-        # rows back; psi x0.5 then empties the polytope at delta 0.7.
+        # >= 1), so that point would walk alone once delta 0.7 brings the
+        # rows back; psi x0.5 empties the polytope at delta 0.7, and every
+        # polytope is solved before any walk, so nothing walks.
         before = self.verdict(self.QUERIES[0])
         groups = []
         lockstep = sampling._lockstep
@@ -826,7 +850,7 @@ class TestSweepReplay:
         for _ in range(2):
             with pytest.raises(tg.InfeasiblePolytopeError, match=r"delta=0.7 \(psi scale 0.5"):
                 tg.scaling_verdict(kb, query, (0.9, 0.7, 0.6), params, n=300, burn_in=10)
-        assert groups == [1, 1]
+        assert groups == []
         lps.clear()
         assert self.verdict(self.QUERIES[0]) == before
         assert len(lps) == 12
