@@ -20,7 +20,11 @@ only arise from exact parameter coincidences.
 The walk draws its normals and uniforms in whole chunks of 512 steps,
 so the randomness feeding each step depends on the seed alone: a chain is
 reproducible bit-for-bit for a fixed seed, and a longer run extends a
-shorter one exactly.
+shorter one exactly. The next chunk is drawn on one helper thread while
+the current one walks, since NumPy releases the interpreter lock while it
+fills the buffers. Each chain's generator is used by one thread at a time
+and draws the same values in the same order as on the calling thread, so
+each stream, and every point, is unchanged.
 
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
 its own polytope and with its own random stream, and hands its visited
@@ -54,14 +58,16 @@ them as it reads a walk, so every quantile is bit-identical. A sweep is
 recorded only when len(sweep) * n * atom_count * 8 bytes, a bound on its
 points known before any LP, is at most 4 MiB; larger sweeps stream and
 record nothing. A miss drops the old entry and builds every grid point's
-walk space before any walk, so an empty grid point raises before any
-walk; the new entry is published only once the whole sweep has walked,
-so a sweep that raises leaves no entry.
+walk space before any walk, one per distinct polytope (the same arrays
+are the same LP), so an empty grid point raises before any walk; the new
+entry is published only once the whole sweep has walked, so a sweep that
+raises leaves no entry.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -98,10 +104,13 @@ _CHUNK = 512
 _SLICE = 64
 _DEGENERATE_RADIUS = 1e-12
 # Coordinates walked in lockstep: a group of chains of dimension q holds
-# at most _LOCKSTEP_WIDTH // q of them, so its (K, 512, q) normals and
-# its K (m, q) constraint rows (m = q plus the rule rows) stay near 4 MB
-# and 2 MB, and the kernel's projections on the rule rows and its 64-step
-# slices near 2 MB. A group keeps (K, n) exception rates, not its models.
+# at most _LOCKSTEP_WIDTH // q of them, so each of its two (K, 512, q)
+# normals buffers (one walking, one being drawn) and its K (m, q)
+# constraint rows (m = q plus the rule rows) stay near 4 MB and 2 MB, and
+# the kernel's projections on the rule rows and its 64-step slices near
+# 2 MB. A group keeps (K, n) exception rates, not its models. All 12
+# chains of an 8-name sweep in one group (a cap of 3072) walked about 10%
+# faster but peaked about 23 MB (24%) higher, so the cap stays at 1024.
 _LOCKSTEP_WIDTH = 1024
 # A sweep is recorded for replay when its points, bounded by
 # len(sweep) * n * atom_count * 8 bytes, fit in one lockstep group's
@@ -214,6 +223,17 @@ def _walk(
     y[:] = point
 
 
+def _draw(rngs, normals: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill one chunk's (K, L, q) normals and (K, L) uniforms: each chain
+    draws its normals and then its uniforms from its own generator, as a
+    lone chain does; then every normal is centred on the plane."""
+    for rng, chain_normals, chain_uniforms in zip(rngs, normals, uniforms):
+        rng.standard_normal(out=chain_normals)
+        rng.random(out=chain_uniforms)
+    normals -= normals.mean(axis=2, keepdims=True)
+    return normals, uniforms
+
+
 def _lockstep(
     spaces: list[_Walkspace], seeds, n: int, burn_in: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -233,6 +253,14 @@ def _lockstep(
     a shorter one exactly. A normal z steps along z - mean(z), isotropic
     in the plane sum(x) = 1, so the target stays uniform; each chunk
     starts by putting the chain's point back on that plane.
+
+    One helper thread draws chunk c + 1 while chunk c walks, into the
+    other of two (normals, uniforms) buffer pairs. Each generator is used
+    by one thread at a time, handed over by the future, so its stream and
+    every point are as if drawn on the calling thread. Chunk c + 2 is
+    submitted only once chunk c + 1 has been asked for, so the helper never
+    writes over a visited view that may still be read; the helper ends
+    with the walk, or when the generator is closed.
     """
     q = spaces[0].rows.shape[1]
     # _walk's layout: the rule rows, then -I with right-hand side 0. The
@@ -244,21 +272,23 @@ def _lockstep(
     rhs = [np.concatenate([space.rhs, np.zeros(q)]) for space in spaces]
     y = np.stack([space.center for space in spaces])
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    normals = np.empty((len(spaces), _CHUNK, q))
-    uniforms = np.empty((len(spaces), _CHUNK))
+    chains = len(spaces)
+    buffers = [(np.empty((chains, _CHUNK, q)), np.empty((chains, _CHUNK))) for _ in range(2)]
     # Step indices count from -burn_in, so the stored ones are those >= 0.
-    for start in range(-burn_in, n, _CHUNK):
-        for rng, chain_normals, chain_uniforms in zip(rngs, normals, uniforms):
-            rng.standard_normal(out=chain_normals)
-            rng.random(out=chain_uniforms)
-        normals -= normals.mean(axis=2, keepdims=True)
-        y += (1.0 - y.sum(axis=1, keepdims=True)) / q
-        steps = min(_CHUNK, n - start)
-        visited = normals[:, :steps]
-        _walk(rows, rhs, y, normals, uniforms[:, :steps], visited)
-        first = max(-start, 0)
-        if first < steps:
-            yield slice(start + first, start + steps), visited[:, first:]
+    starts = range(-burn_in, n, _CHUNK)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        drawn = helper.submit(_draw, rngs, *buffers[0])
+        for chunk, start in enumerate(starts):
+            normals, uniforms = drawn.result()
+            if chunk + 1 < len(starts):
+                drawn = helper.submit(_draw, rngs, *buffers[(chunk + 1) % 2])
+            y += (1.0 - y.sum(axis=1, keepdims=True)) / q
+            steps = min(_CHUNK, n - start)
+            visited = normals[:, :steps]
+            _walk(rows, rhs, y, normals, uniforms[:, :steps], visited)
+            first = max(-start, 0)
+            if first < steps:
+                yield slice(start + first, start + steps), visited[:, first:]
 
 
 def _check_run(n: int, burn_in: int, seed: int) -> None:
@@ -476,7 +506,10 @@ def scaling_verdict(
     every grid polytope must be nonempty: an infeasible point aborts,
     naming its delta, since quantiles of an empty model set mean nothing.
     Every grid polytope is solved before any is walked, so it aborts
-    before any walk. The query must be over the kb's signature.
+    before any walk. Grid points whose polytope arrays are identical (a
+    polytope depends on the grid only through each psi * delta**k) share
+    one LP; the first empty point in sweep order is the one named. The
+    query must be over the kb's signature.
 
     Each grid point is sampled with its own seed, drawn from seed, and its
     quantile taken by _quantiles, exactly as conclusion_quantile would
@@ -505,25 +538,30 @@ def scaling_verdict(
         build_polytope(kb, replace(params, psi=tuple(scale * p for p in params.psi), delta=delta))
         for scale, delta in sweep
     ]
-    key = (n, burn_in, seeds.tobytes()) + tuple(
-        (array.shape, array.tobytes())
+    arrays = [
+        tuple(
+            (array.shape, array.tobytes())
+            for array in (system.eq_rows, system.eq_rhs, system.ineq_rows, system.ineq_rhs)
+        )
         for system in systems
-        for array in (system.eq_rows, system.eq_rhs, system.ineq_rows, system.ineq_rhs)
-    )
+    ]
+    key = (n, burn_in, seeds.tobytes(), *arrays)
     global _last_sweep
     if _last_sweep is not None and _last_sweep[0] == key:
         _, spaces, walks = _last_sweep
     else:
         _last_sweep = None
-        spaces = []
-        for (scale, delta), system in zip(sweep, systems):
-            try:
-                spaces.append(_walkspace(system))
-            except InfeasiblePolytopeError as err:
-                raise InfeasiblePolytopeError(
-                    f"polytope is empty at delta={delta} (psi scale {scale});"
-                    " the scaling fit is undefined"
-                ) from err
+        solved: dict[tuple, _Walkspace] = {}
+        for (scale, delta), system, system_arrays in zip(sweep, systems, arrays):
+            if system_arrays not in solved:
+                try:
+                    solved[system_arrays] = _walkspace(system)
+                except InfeasiblePolytopeError as err:
+                    raise InfeasiblePolytopeError(
+                        f"polytope is empty at delta={delta} (psi scale {scale});"
+                        " the scaling fit is undefined"
+                    ) from err
+        spaces = [solved[system_arrays] for system_arrays in arrays]
         walks = _walks(spaces, seeds.tolist(), n, burn_in)
         if len(sweep) * n * kb.signature.atom_count * 8 <= _REPLAY_BYTES:
             walks = [

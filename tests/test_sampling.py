@@ -1,6 +1,8 @@
 """Uniform polytope sampling and the quantile-scaling verdict."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -314,6 +316,81 @@ class TestSampleUniform:
             tg.sample_uniform(system, 10, burn_in=-1)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             tg.sample_uniform(system, 10, seed=-1)
+
+
+class TestDrawAhead:
+    # _lockstep draws each chunk's randomness on one helper thread while
+    # the chunk before it walks on the calling thread.
+
+    def test_concurrent_walks_equal_serial_walks(self):
+        # More threads than cores, each with its own helper, switching as
+        # often as the interpreter allows: a draw into the buffer being
+        # walked, or a generator used from two threads at once, would
+        # change some point.
+        kb = two_rule_chain_kb()
+        params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
+        system = tg.build_polytope(kb, params)
+        query = rule(AB, "true", "a | b", 2)
+        seeds = (30, 31, 32, 33)
+
+        def run(seed):
+            points = tg.sample_uniform(system, 1500, burn_in=600, seed=seed).points
+            return points, tg.conclusion_quantile(kb, params, query, 1500, 600, seed)
+
+        serial = {seed: run(seed) for seed in seeds}
+        results = {}
+        threads = [
+            threading.Thread(target=lambda seed=seed: results.update({seed: run(seed)}))
+            for seed in seeds
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seed in seeds:
+            for result, expected in zip(results[seed], serial[seed]):
+                assert np.array_equal(result, expected)
+
+    def test_closing_a_walk_ends_its_helper(self):
+        space = _walkspace(simple_system()[1])
+        before = threading.active_count()
+        walk = sampling._lockstep([space], [3], 5000, 0)
+        next(walk)
+        assert threading.active_count() == before + 1
+        walk.close()
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        # The second chunk's normals fail, on the helper, while the first
+        # chunk walks.
+        default_rng = np.random.default_rng
+
+        class FailingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.draws = 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 2:
+                    raise RuntimeError("draw failed")
+                return self.rng.standard_normal(out=out)
+
+            def random(self, out):
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        _, system = simple_system()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            tg.sample_uniform(system, 2000, burn_in=0, seed=3)
+        assert threading.active_count() == before
 
 
 class TestExceptionRate:
@@ -770,7 +847,7 @@ def lps(monkeypatch):
 class TestSweepReplay:
     # validate-shared's shape: two (gamma, zeta) pairs, each probed at its
     # largest entailed threshold and one above, on one KB whose 12 grid
-    # polytopes each take one LP.
+    # polytopes take one LP per distinct polytope.
     TEXT = "t => a @ 1\n~a => b @ 1\n"
     GRID = (0.1, 0.05, 0.025, 0.0125)
     QUERIES = ("t => a | b @ 2", "t => a | b @ 3", "t => a @ 1", "t => a @ 2")
@@ -781,17 +858,31 @@ class TestSweepReplay:
         run = {"n": 1000, "seed": 5, "burn_in": 200, **run}
         return tg.scaling_verdict(kb, tg.parse_query(query, kb.signature), grid, params, **run)
 
+    @staticmethod
+    def distinct(text=TEXT, psi=1.0, grid=GRID):
+        """The LPs a sweep solves: one per distinct tuple of its rules'
+        psi * delta**k, computed as build_polytope computes them. On the
+        halving grid that is 6 of 12 at threshold 1 and 9 at threshold 2."""
+        kb = tg.load_kb(text)
+        return len(
+            {
+                tuple((scale * psi) * delta**r.threshold for r in kb.rules)
+                for scale in tg.PSI_SWEEP
+                for delta in grid
+            }
+        )
+
     def test_queries_on_one_sweep_share_its_walk(self, lps):
         self.verdict(self.QUERIES[0], seed=6)
         lps.clear()
         reports = [self.verdict(query) for query in self.QUERIES]
-        assert len(lps) == 12
+        assert len(lps) == self.distinct() == 6
         assert [r.verdict for r in reports] == ["supports", "refutes"] * 2
         for query, report in zip(self.QUERIES, reports):
             self.verdict(query, seed=6)
             lps.clear()
             walked = self.verdict(query)
-            assert len(lps) == 12
+            assert len(lps) == self.distinct()
             assert walked.quantiles == report.quantiles
             assert walked.exponents == report.exponents
             assert walked.verdict == report.verdict
@@ -818,13 +909,14 @@ class TestSweepReplay:
         self.verdict(self.QUERIES[0])
         lps.clear()
         self.verdict(self.QUERIES[0], **change)
-        assert len(lps) == 12
+        shape = {name: change[name] for name in ("psi", "grid") if name in change}
+        assert len(lps) == self.distinct(**shape)
 
     def test_sweep_over_the_budget_is_not_recorded(self, lps):
         # 3 names: the 12 grid points' models take 12 * 8 * 8 bytes per
         # sample, so 5461 samples are the most that fit in 4 MiB.
         most = 4 * 2**20 // (12 * 8 * 8)
-        for n, solved in ((most, 12), (most + 1, 24)):
+        for n, solved in ((most, self.distinct()), (most + 1, 2 * self.distinct())):
             lps.clear()
             for _ in range(2):
                 self.verdict(self.QUERIES[0], names=("c",), n=n, burn_in=0)
@@ -853,4 +945,18 @@ class TestSweepReplay:
         assert groups == []
         lps.clear()
         assert self.verdict(self.QUERIES[0]) == before
-        assert len(lps) == 12
+        assert len(lps) == self.distinct()
+
+    def test_one_lp_per_distinct_polytope(self, lps):
+        # At threshold 2 a grid polytope depends on psi * delta**2, so the
+        # halving grid's 12 points hold 9 distinct polytopes. Points that
+        # share one still walk with their own seeds.
+        text = "t => a @ 2\n~a => b @ 2\n"
+        assert self.distinct(text) == 9
+        report = self.verdict("t => a @ 2", text=text, n=700, seed=8)
+        assert len(lps) == 9
+        kb = tg.load_kb(text)
+        params = tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=self.GRID[0])
+        query = tg.parse_query("t => a @ 2", kb.signature)
+        expected = per_point_quantiles(kb, query, self.GRID, params, 700, 8, 200)
+        assert np.array_equal(report.quantiles, expected)
