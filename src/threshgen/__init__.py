@@ -9,7 +9,9 @@ System-Z+ default rules and a command-line front end (``threshgen``).
 
 Only the numerical route uses NumPy and SciPy. Its modules, polytope and
 sampling, are imported on the first access to one of their names, so
-``import threshgen`` and the symbolic commands load neither library.
+``import threshgen`` and the symbolic commands load neither library. The
+System-Z+ bridge, zplus, also loads on first use: query and depthmap
+never call it.
 
 Typical use:
 
@@ -51,20 +53,12 @@ from .rulefile import (
     parse_query,
     query_names,
 )
-from .zplus import (
-    SideConditionError,
-    TranslationError,
-    ZPlusRule,
-    check_side_conditions,
-    from_zplus,
-    to_zplus,
-    zplus_consequence,
-)
 
 __version__ = "0.1.0"
 
-# The numerical route's public names and their modules; __getattr__ imports
-# a module on the first access to one of its names.
+# The public names of the modules a symbolic query does not need, the
+# numerical route and the System-Z+ bridge; __getattr__ imports a module on
+# the first access to one of its names.
 _LAZY_NAMES = {
     "InfeasiblePolytopeError": "polytope",
     "NumericalError": "polytope",
@@ -82,6 +76,13 @@ _LAZY_NAMES = {
     "exception_rate": "sampling",
     "sample_uniform": "sampling",
     "scaling_verdict": "sampling",
+    "SideConditionError": "zplus",
+    "TranslationError": "zplus",
+    "ZPlusRule": "zplus",
+    "check_side_conditions": "zplus",
+    "from_zplus": "zplus",
+    "to_zplus": "zplus",
+    "zplus_consequence": "zplus",
 }
 
 __all__ = [
@@ -136,7 +137,7 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name in _LAZY_NAMES.values():  # threshgen.polytope, threshgen.sampling
+    if name in _LAZY_NAMES.values():  # threshgen.polytope, .sampling, .zplus
         return _import_module(f".{name}", __name__)
     if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,8 @@ stops quietly and the exit code is still the verdict's.
 Only validate imports the numerical route (threshgen.polytope and
 threshgen.sampling, hence NumPy and SciPy); the other commands are
 symbolic and never load either library, which would take longer to
-import than they take to answer.
+import than they take to answer. Likewise only zplus imports the
+System-Z+ bridge, threshgen.zplus, on first use.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
 from contextlib import redirect_stdout
 from itertools import count, islice, product
-from typing import Iterator
 
 from .depth import DepthProfile, compile_kb, depth_text
 from .logic import parse
@@ -39,7 +40,6 @@ from .rulefile import (
     parse_query,
     query_names,
 )
-from .zplus import from_zplus, to_zplus
 
 
 def _kv_bool(value: bool) -> str:
@@ -201,6 +201,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_zplus(args) -> int:
+    from .zplus import from_zplus, to_zplus
+
     text = _read(args.kb)
     if args.direction == "to":
         print(format_defaults(to_zplus(load_kb(text))), end="")
@@ -228,6 +230,13 @@ def _parse_psi(text: str, rule_count: int) -> tuple[float, ...]:
 
 
 def cmd_validate(args) -> int:
+    # The sampler draws the next chunk on a helper thread while the current
+    # one walks, and BLAS worker threads would take the core it needs. BLAS
+    # reads these once, when NumPy first loads it; a value the caller set
+    # is kept.
+    if "numpy" not in sys.modules:
+        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(variable, "1")
     # The numerical route, and with it NumPy and SciPy, loads only here.
     from .polytope import NumericalError, ParameterAssignment
     from .sampling import scaling_verdict

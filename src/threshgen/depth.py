@@ -36,14 +36,13 @@ infinity, which makes the extended comparisons native Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from operator import attrgetter
 
 from .logic import Proposition, Signature, SignatureError
 
 INFINITY = math.inf
 
-Depth = Union[int, float]
+Depth = int | float
 
 
 def is_valid_threshold(k) -> bool:
@@ -62,21 +61,63 @@ class StabilizationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Generalization:
+class Record:
+    """Base of the immutable value records, with frozen-dataclass behaviour.
+
+    A subclass declares its fields as class annotations, in order, and
+    writes its own __init__, which validates and then stores each field
+    with object.__setattr__. The base compares and hashes by class and
+    field values, gives the dataclass repr and refuses assignment and
+    deletion. Pickle and copy restore the instance __dict__ directly.
+    The dataclasses module would do the same, but importing it (and
+    inspect with it) costs a cold symbolic command more than it spends
+    answering.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        # The field values as one tuple (every record has two or more fields).
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Generalization(Record):
     """One rule: exceptions to (antecedent so consequent) at order >= threshold."""
 
     antecedent: Proposition
     consequent: Proposition
     threshold: Depth
 
-    def __post_init__(self):
-        if self.antecedent.signature != self.consequent.signature:
+    def __init__(
+        self, antecedent: Proposition, consequent: Proposition, threshold: Depth
+    ):
+        if antecedent.signature != consequent.signature:
             raise SignatureError("rule sides have different signatures")
-        if not is_valid_threshold(self.threshold):
+        if not is_valid_threshold(threshold):
             raise ValueError(
-                f"threshold must be an integer >= 1 or infinity, got {self.threshold!r}"
+                f"threshold must be an integer >= 1 or infinity, got {threshold!r}"
             )
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
+        object.__setattr__(self, "threshold", threshold)
 
     @property
     def signature(self) -> Signature:
@@ -96,8 +137,7 @@ class Generalization:
         return self.text()
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(Record):
     """An ordered list of generalizations over one signature.
 
     Order is preserved for reporting and duplicates are allowed; neither
@@ -107,11 +147,13 @@ class KnowledgeBase:
     signature: Signature
     rules: tuple[Generalization, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        for rule in self.rules:
-            if rule.signature != self.signature:
+    def __init__(self, signature: Signature, rules):
+        rules = tuple(rules)
+        for rule in rules:
+            if rule.signature != signature:
                 raise SignatureError("rule signature differs from knowledge base")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "rules", rules)
 
     @property
     def size(self) -> int:
@@ -121,8 +163,7 @@ class KnowledgeBase:
         return [r.threshold for r in self.rules if r.threshold != INFINITY]
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(Record):
     """Compiled form of a knowledge base: the exception chain up to its fixpoint.
 
     chain[d] is the order-d exception set for 0 <= d <= fixpoint, and
@@ -138,6 +179,20 @@ class DepthProfile:
     fired: tuple[tuple[int, ...], ...]
     fixpoint: int
     window: int
+
+    def __init__(
+        self,
+        kb: KnowledgeBase,
+        chain: tuple[Proposition, ...],
+        fired: tuple[tuple[int, ...], ...],
+        fixpoint: int,
+        window: int,
+    ):
+        object.__setattr__(self, "kb", kb)
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "fired", fired)
+        object.__setattr__(self, "fixpoint", fixpoint)
+        object.__setattr__(self, "window", window)
 
     @property
     def limit(self) -> Proposition:
@@ -201,7 +256,7 @@ class DepthProfile:
 
     def max_entailed_threshold(
         self, gamma: Proposition, zeta: Proposition
-    ) -> Optional[Depth]:
+    ) -> Depth | None:
         """Largest j with gamma => zeta @ j supported; None when no j >= 1 is.
 
         Infinity means every finite threshold (and @ inf) is supported.

@@ -23,7 +23,7 @@ enumeration walks the mask's bytes once.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from collections.abc import Iterator
 
 MAX_NAMES = 24
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from .depth import INFINITY, Depth, Generalization, KnowledgeBase
 from .logic import ParseError, Proposition, Signature, parse, scan_names
-from .zplus import ZPlusRule, _toplevel_arrow
 
 
 class RuleFileError(ValueError):
@@ -94,6 +93,25 @@ def _parse_rule(
     return antecedent, consequent, parts[1]
 
 
+def _toplevel_arrow(text: str) -> int:
+    """Offset of the first '->' outside parentheses that is not the tail
+    of '<->', or -1."""
+    depth = 0
+    for i, ch in enumerate(text[:-1]):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif (
+            ch == "-"
+            and text[i + 1] == ">"
+            and depth == 0
+            and (i == 0 or text[i - 1] != "<")
+        ):
+            return i
+    return -1
+
+
 def _numbered_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -135,8 +153,10 @@ def load_kb(text: str, extra_names=()) -> KnowledgeBase:
     return KnowledgeBase(signature, tuple(rules))
 
 
-def load_defaults(text: str, extra_names=()) -> tuple[list[ZPlusRule], Signature]:
+def load_defaults(text: str, extra_names=()) -> tuple[list, Signature]:
     """Parse default-rule text into ZPlusRules plus their signature."""
+    from .zplus import ZPlusRule  # loads on first use, like the zplus command
+
     signature = file_signature(text, extra_names)
     rules = []
     for lineno, line in _numbered_lines(text):

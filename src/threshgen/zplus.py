@@ -21,16 +21,16 @@ unsound answers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .depth import (
     INFINITY,
     DepthProfile,
     Generalization,
     KnowledgeBase,
+    Record,
     compile_kb,
 )
 from .logic import Proposition, Signature, SignatureError
+from .rulefile import _toplevel_arrow
 
 
 class TranslationError(ValueError):
@@ -49,40 +49,23 @@ class SideConditionError(ValueError):
         super().__init__(message)
 
 
-def _toplevel_arrow(text: str) -> int:
-    """Offset of the first '->' outside parentheses that is not the tail
-    of '<->', or -1."""
-    depth = 0
-    for i, ch in enumerate(text[:-1]):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif (
-            ch == "-"
-            and text[i + 1] == ">"
-            and depth == 0
-            and (i == 0 or text[i - 1] != "<")
-        ):
-            return i
-    return -1
-
-
-@dataclass(frozen=True)
-class ZPlusRule:
+class ZPlusRule(Record):
     """One default rule: antecedent -> consequent at strength >= 0."""
 
     antecedent: Proposition
     consequent: Proposition
     strength: int
 
-    def __post_init__(self):
-        if self.antecedent.signature != self.consequent.signature:
+    def __init__(self, antecedent: Proposition, consequent: Proposition, strength: int):
+        if antecedent.signature != consequent.signature:
             raise SignatureError("rule sides have different signatures")
-        if not (isinstance(self.strength, int) and self.strength >= 0):
+        if not (isinstance(strength, int) and strength >= 0):
             raise ValueError(
-                f"strength must be a non-negative integer, got {self.strength!r}"
+                f"strength must be a non-negative integer, got {strength!r}"
             )
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
+        object.__setattr__(self, "strength", strength)
 
     @property
     def signature(self) -> Signature:

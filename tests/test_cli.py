@@ -278,6 +278,31 @@ class TestZPlusCommand:
 class TestValidate:
     GRID = "0.1,0.05,0.025"
 
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_blas_threads_default_to_one(self, kb_file, preset):
+        # A cold validate pins BLAS to one thread before NumPy loads, unless
+        # the caller chose a count.
+        variables = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {key: value for key, value in child_env().items() if key not in variables}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        script = (
+            "import contextlib, io, os, sys\n"
+            "from threshgen.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            f"print(code, *(os.environ.get(name) for name in {variables!r}))\n"
+        )
+        argv = ["validate", "--kb", kb_file, "--samples", "200", "t => a | b @ 2"]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert done.stdout.split()[1:] == [preset or "1", "1", "1"]
+
     def test_supported_query(self, kb_file, capsys):
         code = main(
             [
