@@ -85,54 +85,33 @@ _LAZY_NAMES = {
     "zplus_consequence": "zplus",
 }
 
+# The names imported above, then every lazy name.
 __all__ = [
     "INFINITY",
-    "PSI_SWEEP",
     "Depth",
     "DepthProfile",
     "Generalization",
-    "InfeasiblePolytopeError",
     "KnowledgeBase",
-    "NumericalError",
-    "ParameterAssignment",
     "ParseError",
-    "PolytopeSystem",
     "Proposition",
     "RuleFileError",
-    "ScalingReport",
-    "SideConditionError",
     "Signature",
     "SignatureError",
     "StabilizationError",
-    "TranslationError",
-    "UniformSample",
     "UnknownNameError",
-    "ZPlusRule",
-    "build_polytope",
-    "check_side_conditions",
     "compile_kb",
-    "conclusion_quantile",
     "depth_text",
-    "empirical_quantile",
-    "exception_rate",
     "file_signature",
     "format_defaults",
     "format_kb",
-    "from_zplus",
-    "indicator",
-    "is_feasible",
     "load_defaults",
     "load_kb",
-    "max_violation",
     "parse",
     "parse_query",
     "query_names",
-    "sample_uniform",
-    "scaling_verdict",
     "scan_names",
-    "to_zplus",
-    "zplus_consequence",
     "__version__",
+    *_LAZY_NAMES,
 ]
 
 

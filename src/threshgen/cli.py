@@ -26,9 +26,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterator
 from contextlib import redirect_stdout
-from itertools import count, islice, product
+from itertools import count, islice
 
 from .depth import DepthProfile, compile_kb, depth_text
 from .logic import parse
@@ -140,25 +139,6 @@ def cmd_rarity(args) -> int:
     return 0
 
 
-def _conjunctions(names) -> list[str]:
-    """Signature.atom_text of every atom over names, in index order."""
-    # product varies its last factor fastest, and atom i's bit 0 is names[0].
-    literals = product(*((f"~{name}", name) for name in reversed(names)))
-    return [" & ".join(reversed(row)) for row in literals]
-
-
-def _atom_texts(names) -> Iterator[str]:
-    """Signature.atom_text(i) for i in index order, each one concatenation
-    of a low-names and a high-names conjunction from two small tables, not
-    r literals joined anew per atom."""
-    if not names:
-        return iter(["true"])
-    half = (len(names) + 1) // 2
-    low = _conjunctions(names[:half])
-    high = [""] if half == len(names) else [f" & {text}" for text in _conjunctions(names[half:])]
-    return (head + tail for tail in high for head in low)
-
-
 def cmd_depthmap(args) -> int:
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
@@ -166,7 +146,7 @@ def cmd_depthmap(args) -> int:
         _write_kv([("names", ",".join(signature.names))])
         keys, sep = map("atom_{}".format, count()), "="
     else:
-        keys, sep = _atom_texts(signature.names), ": "
+        keys, sep = signature.atom_texts(), ": "
     depths = zip(keys, profile.atom_depths())
     lines = (f"{key}{sep}{depth_text(d)}\n" for key, d in depths)
     # One write per 4096 atoms: there can be 2**24 of them, and with an

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
+from itertools import product
 
 MAX_NAMES = 24
 
@@ -57,10 +58,18 @@ class UnknownNameError(ParseError):
         self.name = name
 
 
+def _conjunctions(names) -> list[str]:
+    """The literals of every atom over names, joined by ' & ', in index
+    order."""
+    # product varies its last factor fastest, and atom i's bit 0 is names[0].
+    literals = product(*((f"~{name}", name) for name in reversed(names)))
+    return [" & ".join(reversed(row)) for row in literals]
+
+
 class Signature:
     """Ordered collection of distinct primitive proposition names."""
 
-    __slots__ = ("names", "full_mask", "_index", "_name_masks")
+    __slots__ = ("names", "full_mask", "_index", "_name_masks", "_atom_tables")
 
     def __init__(self, names):
         names = tuple(names)
@@ -80,6 +89,7 @@ class Signature:
         self.full_mask = (1 << (1 << len(names))) - 1
         self._index = {name: j for j, name in enumerate(names)}
         self._name_masks: dict[int, int] = {}
+        self._atom_tables: tuple[int, list[str], list[str]] | None = None
 
     @property
     def size(self) -> int:
@@ -120,13 +130,27 @@ class Signature:
         """Render atom i as a conjunction of literals, e.g. 'a & ~b'."""
         if not 0 <= i < self.atom_count:
             raise SignatureError(f"atom index {i} out of range")
-        if not self.names:
-            return "true"
-        lits = [
-            name if (i >> j) & 1 else "~" + name
-            for j, name in enumerate(self.names)
-        ]
-        return " & ".join(lits)
+        half, low, high = self._tables()
+        return low[i & ((1 << half) - 1)] + high[i >> half]
+
+    def atom_texts(self) -> Iterator[str]:
+        """atom_text(i) for every atom, in index order."""
+        _, low, high = self._tables()
+        return (head + tail for tail in high for head in low)
+
+    def _tables(self) -> tuple[int, list[str], list[str]]:
+        """(half, low, high): atom i's text is low[i % 2**half] plus
+        high[i >> half], the conjunction over the first half names and
+        ' & ' plus the one over the rest. Built once per signature, so an
+        atom's text is one concatenation, not r literals joined anew."""
+        if self._atom_tables is None:
+            names = self.names
+            half = (len(names) + 1) // 2
+            low = _conjunctions(names[:half]) if names else ["true"]
+            rest = names[half:]
+            high = [f" & {text}" for text in _conjunctions(rest)] if rest else [""]
+            self._atom_tables = (half, low, high)
+        return self._atom_tables
 
     def __eq__(self, other):
         return isinstance(other, Signature) and self.names == other.names
@@ -301,7 +325,9 @@ def _render_atoms(prop: Proposition, parent_prec: int) -> str:
         return "true"
     if prop.is_false:
         return "false"
-    terms = [prop.signature.atom_text(i) for i in prop.atoms()]
+    half, low, high = prop.signature._tables()
+    bits = (1 << half) - 1
+    terms = [low[i & bits] + high[i >> half] for i in prop.atoms()]
     if len(terms) == 1:
         text = terms[0]
         return f"({text})" if parent_prec > _PREC["and"] and " " in text else text

@@ -8,13 +8,13 @@ exceptional mass is small relative to the antecedent mass:
     pi(alpha & ~beta) <= psi_i * delta**k_i * pi(alpha)
 
 where pi(phi) sums the coordinates of phi's atoms, psi_i is a positive
-slack and 0 < delta < 1 is the common exception scale. The rows are linear
-in the model vector, so a knowledge base plus a parameter assignment
-yields a convex polytope: normalization and any @ inf rows as equalities
-(delta**inf = 0 forces the exception mass to vanish), one inequality row
-per finite rule, plus coordinatewise non-negativity. Models where the
-antecedent has probability 0 satisfy the row trivially, which matches
-reading the conditional probability as 1 there.
+slack and 0 < delta < 1 is the common exception scale. Every such row is
+linear and homogeneous in the model vector, row @ x <= 0, and an @ inf
+rule's row is an equality, pi(alpha & ~beta) = 0, since delta**inf = 0.
+So a knowledge base plus a parameter assignment yields a convex polytope:
+the simplex (x >= 0, sum(x) = 1) cut by homogeneous rule rows. Models
+where the antecedent has probability 0 satisfy the row trivially, which
+matches reading the conditional probability as 1 there.
 
 The module also owns the one decision of whether the polytope is empty.
 Coordinates pinned to zero (by @ inf rules, or by inequality rows that can
@@ -91,22 +91,20 @@ class ParameterAssignment:
 
 @dataclass(eq=False)
 class PolytopeSystem:
-    """Linear description of the model set of one (kb, parameters) pair.
+    """Linear description of the model set of one (kb, parameters) pair:
+    the points x of the simplex with eq_rows @ x == 0 and
+    ineq_rows @ x <= 0.
 
-    Equality rows are the normalization row (all ones, rhs 1) first, then
-    one zero-forcing row per @ inf rule. Inequality rows are
-    indicator(exception) - psi*delta**k * indicator(antecedent) <= 0, one
-    per finite rule, in knowledge-base order. Coordinates are additionally
-    bounded below by 0; that bound is implicit here and explicit in every
-    solver call.
+    eq_rows holds indicator(exception), one per @ inf rule; ineq_rows
+    holds indicator(exception) - psi*delta**k * indicator(antecedent), one
+    per finite rule; both are in knowledge-base order. The simplex, x >= 0
+    and sum(x) = 1, is implicit here and explicit in every solver call.
     """
 
     signature: Signature
     dimension: int
     eq_rows: np.ndarray
-    eq_rhs: np.ndarray
     ineq_rows: np.ndarray
-    ineq_rhs: np.ndarray
 
 
 def indicator(mask: int, dimension: int) -> np.ndarray:
@@ -127,41 +125,35 @@ def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSy
             f"psi has {len(params.psi)} entries for {kb.size} rules"
         )
     dimension = kb.signature.atom_count
-    eq_rows = [np.ones(dimension)]
-    eq_rhs = [1.0]
+    eq_rows = []
     ineq_rows = []
-    ineq_rhs = []
     for rule, psi in zip(kb.rules, params.psi):
         exception = indicator(rule.exception().mask, dimension)
         if rule.threshold == INFINITY:
             eq_rows.append(exception)
-            eq_rhs.append(0.0)
         else:
             antecedent = indicator(rule.antecedent.mask, dimension)
             scale = psi * params.delta ** rule.threshold
             ineq_rows.append(exception - scale * antecedent)
-            ineq_rhs.append(0.0)
     return PolytopeSystem(
         signature=kb.signature,
         dimension=dimension,
-        eq_rows=np.array(eq_rows),
-        eq_rhs=np.array(eq_rhs),
+        eq_rows=np.array(eq_rows).reshape(len(eq_rows), dimension),
         ineq_rows=np.array(ineq_rows).reshape(len(ineq_rows), dimension),
-        ineq_rhs=np.array(ineq_rhs),
     )
 
 
 @dataclass(eq=False)
 class _Walkspace:
     """The polytope over its kept atoms, in model coordinates: the points
-    x >= 0 with sum(x) = 1 and rows @ x <= rhs. rows holds only the rule
-    rows that cut that plane: x >= 0 is implicit, as in PolytopeSystem.
-    center and radius describe the largest ball inside, within the plane;
-    with one kept atom the polytope is the point [1.0] and radius is 0."""
+    of the simplex over them with rows @ x <= 0. rows holds only the rule
+    rows that cut it; the simplex is implicit, as in PolytopeSystem.
+    center and radius describe the largest ball inside, within the plane
+    sum(x) = 1; with one kept atom the polytope is the point [1.0] and
+    radius is 0."""
 
     keep: np.ndarray
     rows: np.ndarray
-    rhs: np.ndarray
     center: np.ndarray
     radius: float
 
@@ -170,16 +162,11 @@ def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
     """Boolean mask of coordinates forced to zero, closed under the rule
     that an inequality row with no negative coefficient left pins every
     coordinate it still touches positively (row @ x <= 0 with x >= 0)."""
-    pinned = np.zeros(system.dimension, dtype=bool)
-    for row, bound in zip(system.eq_rows, system.eq_rhs):
-        if bound == 0.0:
-            pinned |= row > 0.0
+    pinned = (system.eq_rows > 0.0).any(axis=0)
     changed = True
     while changed:
         changed = False
-        for row, bound in zip(system.ineq_rows, system.ineq_rhs):
-            if bound > 0.0:
-                continue
+        for row in system.ineq_rows:
             live = ~pinned
             positive = live & (row > 0.0)
             if positive.any() and not (live & (row < 0.0)).any():
@@ -188,13 +175,12 @@ def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
     return pinned
 
 
-def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center and radius of the largest ball inside rows @ x <= rhs and
+def _chebyshev_center(rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Center and radius of the largest ball inside rows @ x <= 0 and
     x >= 0 on the plane sum(x) = 1, within which a row's norm is that of
     row - mean(row). The LP takes x >= 0 as -I rows after the given ones."""
     q = rows.shape[1]
     rows = np.vstack([rows, -np.eye(q)])
-    rhs = np.concatenate([rhs, np.zeros(q)])
     norms = np.linalg.norm(rows - rows.mean(axis=1, keepdims=True), axis=1)
     objective = np.zeros(q + 1)
     objective[q] = -1.0
@@ -210,7 +196,7 @@ def _chebyshev_center(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
         result = linprog(
             objective,
             A_ub=np.hstack([rows, norms[:, None]]),
-            b_ub=rhs,
+            b_ub=np.zeros(len(rows)),
             A_eq=np.append(np.ones(q), 0.0)[None],
             b_eq=[1.0],
             bounds=[(0, None)] * (q + 1),
@@ -238,31 +224,18 @@ def _walkspace(system: PolytopeSystem) -> _Walkspace:
         raise InfeasiblePolytopeError(
             "every coordinate is forced to zero, so no model normalizes"
         )
-    count = keep.size
-    rows = []
-    rhs = []
-    for row, bound in zip(system.ineq_rows, system.ineq_rhs):
-        kept = row[keep]
-        if not (kept > 0.0).any():
-            continue  # satisfied by any non-negative point
-        if np.linalg.norm(kept - kept.mean()) < 1e-13:
-            # Row is constant on the plane, at mean(kept); vacuous or empty.
-            if bound - kept.mean() < -FEASIBILITY_TOLERANCE:
-                raise InfeasiblePolytopeError(
-                    "a rule row excludes the entire affine hull"
-                )
-            continue
-        rows.append(kept)
-        rhs.append(bound)
-    rows = np.array(rows).reshape(len(rows), count)
-    rhs = np.array(rhs)
-    if count == 1:
-        # One free coordinate carrying all mass; every row was screened
-        # above, so the polytope is that single point.
+    kept = system.ineq_rows[:, keep]
+    # A row with no positive kept entry holds at every non-negative point.
+    # Every other row also has a negative one, or the pinning closure would
+    # have pinned its positive entries, so it cuts the simplex.
+    rows = kept[(kept > 0.0).any(axis=1)]
+    if keep.size == 1:
+        # One free coordinate carrying all mass; no row cuts it, so the
+        # polytope is that single point.
         center, radius = np.ones(1), 0.0
     else:
-        center, radius = _chebyshev_center(rows, rhs)
-    return _Walkspace(keep, rows, rhs, center, radius)
+        center, radius = _chebyshev_center(rows)
+    return _Walkspace(keep, rows, center, radius)
 
 
 def is_feasible(system: PolytopeSystem) -> bool:
@@ -281,15 +254,15 @@ def is_feasible(system: PolytopeSystem) -> bool:
 def max_violation(system: PolytopeSystem, points: np.ndarray) -> float:
     """Largest constraint violation over the given model vectors.
 
-    Checks equality rows, inequality rows, and non-negativity; points is
-    (n, dimension). Used to verify that sampled models actually lie in
-    the polytope.
+    Checks non-negativity, normalization, equality rows and inequality
+    rows; points is (n, dimension). Used to verify that sampled models
+    actually lie in the polytope.
     """
     points = np.atleast_2d(points)
-    worst = float(np.max(-points, initial=0.0))
-    eq_gap = system.eq_rows @ points.T - system.eq_rhs[:, None]
-    worst = max(worst, float(np.max(np.abs(eq_gap), initial=0.0)))
-    if system.ineq_rows.size:
-        ineq_gap = system.ineq_rows @ points.T - system.ineq_rhs[:, None]
-        worst = max(worst, float(np.max(ineq_gap, initial=0.0)))
-    return worst
+    gaps = (
+        -points,
+        np.abs(points.sum(axis=1) - 1.0),
+        np.abs(system.eq_rows @ points.T),
+        system.ineq_rows @ points.T,
+    )
+    return max(float(np.max(gap, initial=0.0)) for gap in gaps)

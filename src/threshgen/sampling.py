@@ -29,8 +29,8 @@ each stream, and every point, is unchanged.
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
 its own polytope and with its own random stream, and hands its visited
 points back one chunk at a time. _lockstep gives each chain its rule rows
-followed by the non-negativity rows, -I with right-hand side 0; only the
-rule rows are multiplied by the directions, since the -I rows meet a
+followed by the non-negativity rows, -I, all with right-hand side 0; only
+the rule rows are multiplied by the directions, since the -I rows meet a
 direction d at -d, and their slack is the walk's point, so the visited
 points are read from the slack as the walk goes. sample_uniform is the
 K = 1 case and scatters the chunks into its (n, dimension) points.
@@ -114,8 +114,8 @@ _DEGENERATE_RADIUS = 1e-12
 _LOCKSTEP_WIDTH = 1024
 # A sweep is recorded for replay when its points, bounded by
 # len(sweep) * n * atom_count * 8 bytes, fit in one lockstep group's
-# normals buffer.
-_REPLAY_BYTES = 4 * 2**20
+# normals buffer: 4 MiB.
+_REPLAY_BYTES = _LOCKSTEP_WIDTH * _CHUNK * 8
 # The last recorded sweep: (key, walk spaces, recorded walks), or None.
 _last_sweep: tuple | None = None
 
@@ -263,16 +263,16 @@ def _lockstep(
     with the walk, or when the generator is closed.
     """
     q = spaces[0].rows.shape[1]
-    # _walk's layout: the rule rows, then -I with right-hand side 0. The
-    # kernel takes the -I rows' projections from the directions and their
-    # slack as the point, but they stay in the rows because each chunk
-    # starts from one product over all of them: the rule rows alone may
-    # round their slack differently, which would change every walk.
+    # _walk's layout: the rule rows, then -I, all with right-hand side 0.
+    # The kernel takes the -I rows' projections from the directions and
+    # their slack as the point, but they stay in the rows because each
+    # chunk starts from one product over all of them: the rule rows alone
+    # may round their slack differently, which would change every walk.
     rows = [np.vstack([space.rows, -np.eye(q)]) for space in spaces]
-    rhs = [np.concatenate([space.rhs, np.zeros(q)]) for space in spaces]
+    chains = len(spaces)
+    rhs = np.zeros((chains, len(rows[0])))
     y = np.stack([space.center for space in spaces])
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    chains = len(spaces)
     buffers = [(np.empty((chains, _CHUNK, q)), np.empty((chains, _CHUNK))) for _ in range(2)]
     # Step indices count from -burn_in, so the stored ones are those >= 0.
     starts = range(-burn_in, n, _CHUNK)
@@ -539,10 +539,7 @@ def scaling_verdict(
         for scale, delta in sweep
     ]
     arrays = [
-        tuple(
-            (array.shape, array.tobytes())
-            for array in (system.eq_rows, system.eq_rhs, system.ineq_rows, system.ineq_rhs)
-        )
+        tuple((array.shape, array.tobytes()) for array in (system.eq_rows, system.ineq_rows))
         for system in systems
     ]
     key = (n, burn_in, seeds.tobytes(), *arrays)

@@ -182,7 +182,7 @@ def exact_quantile(kb, params, query):
     # The walk space leaves x >= 0 implicit; the volumes need its rows.
     rows, rhs = _drop_last(
         np.vstack([space.rows, -np.eye(keep.size)]),
-        np.concatenate([space.rhs, np.zeros(keep.size)]),
+        np.zeros(len(space.rows) + keep.size),
     )
     whole = _volume(rows, rhs, space.center[:-1])
     gamma, both = (

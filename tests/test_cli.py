@@ -14,7 +14,7 @@ import pytest
 
 import threshgen as tg
 from support import child_env
-from threshgen.cli import _atom_texts, main, parse_kv
+from threshgen.cli import main, parse_kv
 
 TWO_RULE_TEXT = "t => a @ 1\n~a => b @ 1\n"
 # An 18-name chain: t => x0, x0 => x1, ..., x16 => x17, all @ 1.
@@ -211,12 +211,6 @@ class TestRarityAndDepthmap:
         assert record["atom_1"] == "0"  # a & ~b
         assert record["atom_2"] == "1"  # ~a & b
         assert record["atom_3"] == "0"  # a & b
-
-    def test_atom_texts_are_the_signature_atom_texts(self):
-        for r in range(11):
-            signature = tg.Signature(tuple(f"n{j}" for j in range(r)))
-            expected = [signature.atom_text(i) for i in range(signature.atom_count)]
-            assert list(_atom_texts(signature.names)) == expected
 
     def test_depthmap_text_of_a_long_chain(self, tmp_path, capsys):
         # The sha256 of the 2**18 lines written when each atom's text came

@@ -73,6 +73,25 @@ class TestSignature:
         assert AB.atom_text(0b01) == "a & ~b"
         assert AB.atom_text(0b11) == "a & b"
 
+    def test_atom_texts_are_the_signature_atom_texts(self):
+        # Each atom's text comes from two per-signature tables; it must be
+        # the literals of the atom joined in name order.
+        rng = np.random.default_rng(0)
+        for r in range(11):
+            signature = tg.Signature(tuple(f"n{j}" for j in range(r)))
+            names = signature.names
+            expected = [
+                " & ".join(n if (i >> j) & 1 else f"~{n}" for j, n in enumerate(names)) or "true"
+                for i in range(signature.atom_count)
+            ]
+            assert list(signature.atom_texts()) == expected
+            assert [signature.atom_text(i) for i in range(signature.atom_count)] == expected
+            atoms = np.flatnonzero(rng.random(signature.atom_count) < 0.5)
+            mask = sum(1 << int(i) for i in atoms)
+            if 0 < mask < signature.full_mask:
+                text = tg.Proposition(signature, mask).text()
+                assert text == " | ".join(expected[i] for i in atoms)
+
 
 class TestPropositionAlgebra:
     def test_constants(self):

@@ -1,9 +1,13 @@
 """Constraint-polytope construction and LP feasibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import threshgen as tg
+from support import random_kb
+from threshgen.polytope import _pinned_coordinates, _Walkspace
 
 A1 = tg.Signature(("a",))
 AB = tg.Signature(("a", "b"))
@@ -50,9 +54,15 @@ class TestBuildPolytope:
         kb = tg.KnowledgeBase(A1, ())
         system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(), delta=0.1))
         assert system.dimension == 2
-        assert system.eq_rows.tolist() == [[1.0, 1.0]]
-        assert system.eq_rhs.tolist() == [1.0]
+        assert system.eq_rows.shape == (0, 2)
         assert system.ineq_rows.shape == (0, 2)
+
+    def test_rows_are_the_only_constraints(self):
+        # The simplex is implicit, and every rule row is homogeneous.
+        fields = [field.name for field in dataclasses.fields(tg.PolytopeSystem)]
+        assert fields == ["signature", "dimension", "eq_rows", "ineq_rows"]
+        space_fields = [field.name for field in dataclasses.fields(_Walkspace)]
+        assert space_fields == ["keep", "rows", "center", "radius"]
 
     def test_single_rule_row(self):
         kb = tg.KnowledgeBase(A1, (rule(A1, "true", "a", 1),))
@@ -61,7 +71,6 @@ class TestBuildPolytope:
         # the row says pi(~a) - 0.1 * pi(true) <= 0.
         assert system.ineq_rows.shape == (1, 2)
         assert np.allclose(system.ineq_rows[0], [1.0 - 0.1, -0.1])
-        assert system.ineq_rhs.tolist() == [0.0]
 
     def test_threshold_exponentiates_delta(self):
         kb = tg.KnowledgeBase(AB, (rule(AB, "a", "b", 3),))
@@ -76,9 +85,7 @@ class TestBuildPolytope:
         kb = tg.KnowledgeBase(A1, (rule(A1, "true", "a", tg.INFINITY),))
         system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0,), delta=0.1))
         assert system.ineq_rows.shape == (0, 2)
-        assert system.eq_rows.shape == (2, 2)
-        assert system.eq_rows[1].tolist() == [1.0, 0.0]
-        assert system.eq_rhs.tolist() == [1.0, 0.0]
+        assert system.eq_rows.tolist() == [[1.0, 0.0]]
 
     def test_psi_length_mismatch(self):
         kb = tg.KnowledgeBase(A1, (rule(A1, "true", "a", 1),))
@@ -183,6 +190,24 @@ class TestFeasibility:
             tg.sample_uniform(system, 50, burn_in=10)
 
 
+class TestPinning:
+    def test_no_kept_row_has_one_sign(self):
+        # After the pinning closure, a finite rule's row over the kept atoms
+        # either has no positive entry, and holds at every non-negative
+        # point, or has entries of both signs, and cuts the simplex. No row
+        # is left positive and constant on the plane sum(x) = 1.
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            kb = random_kb(rng, max_names=4, max_rules=4, allow_infinite=True)
+            for psi in (0.5, 1.0, 2.0):
+                for delta in (0.5, 0.1, 0.0125, 1e-4):
+                    params = tg.ParameterAssignment(psi=(psi,) * kb.size, delta=delta)
+                    system = tg.build_polytope(kb, params)
+                    kept = system.ineq_rows[:, ~_pinned_coordinates(system)]
+                    positive = (kept > 0.0).any(axis=1)
+                    assert np.all(~positive | (kept < 0.0).any(axis=1))
+
+
 class TestMaxViolation:
     def test_reports_worst_gap(self):
         kb = tg.KnowledgeBase(A1, (rule(A1, "true", "a", 1),))
@@ -199,3 +224,13 @@ class TestMaxViolation:
         assert tg.max_violation(system, bad_sum) == pytest.approx(0.9)
         negative = np.array([[-0.2, 1.2]])
         assert tg.max_violation(system, negative) >= 0.2
+
+    def test_reports_forbidden_mass(self):
+        # An @ inf rule forbids its exception atoms any mass at all.
+        kb = tg.KnowledgeBase(AB, (rule(AB, "a", "b", tg.INFINITY),))
+        system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0,), delta=0.1))
+        inside = np.array([[0.5, 0.0, 0.2, 0.3]])
+        assert tg.max_violation(system, inside) == 0.0
+        # Atom 1 is a & ~b, the rule's exception.
+        outside = np.array([[0.5, 0.25, 0.2, 0.05], [0.5, 0.0, 0.2, 0.3]])
+        assert tg.max_violation(system, outside) == pytest.approx(0.25)
