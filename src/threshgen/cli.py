@@ -5,8 +5,8 @@ validate. Input is a knowledge base file (--kb) plus, where relevant, a
 query or proposition string; names appearing only in the query enlarge
 the signature before compilation, which never changes verdicts about the
 file's own names. Output is a human-readable block by default or a
-line-oriented ``key=value`` block with --format kv, written pair by pair
-and bit-exact across runs for identical inputs and seed.
+line-oriented ``key=value`` block with --format kv, bit-exact across runs
+for identical inputs and seed, and written as it is rendered.
 
 Exit codes: 0 for the affirmative verdict (consistent / entailed /
 supports, and plain success for the other commands), 2 for inconsistent,
@@ -30,7 +30,7 @@ from contextlib import redirect_stdout
 from itertools import count, islice
 
 from .depth import DepthProfile, compile_kb, depth_text
-from .logic import parse
+from .logic import _render, parse
 from .rulefile import (
     format_defaults,
     format_kb,
@@ -45,9 +45,16 @@ def _kv_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _write(pieces) -> None:
+    # One write per 4096 pieces (an iterator of non-empty strings): there
+    # can be 2**24 depthmap lines or atom terms, and with an unbuffered
+    # stdout every write is a system call.
+    while chunk := "".join(islice(pieces, 4096)):
+        sys.stdout.write(chunk)
+
+
 def _write_kv(pairs) -> None:
-    for key, value in pairs:
-        sys.stdout.write(f"{key}={value}\n")
+    _write(f"{key}={value}\n" for key, value in pairs)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -72,31 +79,27 @@ def _float_text(x: float) -> str:
     return "inf" if x == float("inf") else format(x, ".6g")
 
 
-def _chain_lines(profile: DepthProfile, with_rules: bool) -> list[str]:
-    lines = []
+def _chain(profile: DepthProfile, kv: bool, with_rules: bool):
+    """The exception chain as pieces of kv lines or of 'depth d:' lines."""
     for d, prop in enumerate(profile.chain):
-        line = f"depth {d}: {prop.text()}"
+        yield f"chain_{d}=" if kv else f"depth {d}: "
+        yield from _render(prop)
         if with_rules and d > 0:
-            fired = ", ".join(str(i + 1) for i in profile.fired[d])
-            line += f"  (rules: {fired or 'none'})"
-        lines.append(line)
-    return lines
+            fired = ("," if kv else ", ").join(str(i + 1) for i in profile.fired[d])
+            yield f"\nrules_{d}={fired}" if kv else f"  (rules: {fired or 'none'})"
+        yield "\n"
 
 
 def cmd_check(args) -> int:
     profile = compile_kb(load_kb(_read(args.kb)))
     consistent = profile.is_consistent()
-    if args.format == "kv":
-        pairs = [("consistent", _kv_bool(consistent)), ("D", profile.fixpoint)]
-        pairs += [
-            (f"chain_{d}", prop.text()) for d, prop in enumerate(profile.chain)
-        ]
-        _write_kv(pairs)
+    kv = args.format == "kv"
+    if kv:
+        _write_kv([("consistent", _kv_bool(consistent)), ("D", profile.fixpoint)])
     else:
         print("consistent" if consistent else "inconsistent")
         print(f"D = {profile.fixpoint}")
-        for line in _chain_lines(profile, with_rules=False):
-            print(line)
+    _write(_chain(profile, kv, with_rules=False))
     return 0 if consistent else 2
 
 
@@ -148,35 +151,26 @@ def cmd_depthmap(args) -> int:
     else:
         keys, sep = signature.atom_texts(), ": "
     depths = zip(keys, profile.atom_depths())
-    lines = (f"{key}{sep}{depth_text(d)}\n" for key, d in depths)
-    # One write per 4096 atoms: there can be 2**24 of them, and with an
-    # unbuffered stdout every write is a system call.
-    while chunk := "".join(islice(lines, 4096)):
-        sys.stdout.write(chunk)
+    _write(f"{key}{sep}{depth_text(d)}\n" for key, d in depths)
     return 0
 
 
 def cmd_explain(args) -> int:
     profile = compile_kb(load_kb(_read(args.kb)))
-    if args.format == "kv":
-        pairs = [
-            ("consistent", _kv_bool(profile.is_consistent())),
-            ("D", profile.fixpoint),
-            ("window", profile.window),
-        ]
-        for d, prop in enumerate(profile.chain):
-            pairs.append((f"chain_{d}", prop.text()))
-            if d > 0:
-                pairs.append(
-                    (f"rules_{d}", ",".join(str(i + 1) for i in profile.fired[d]))
-                )
-        _write_kv(pairs)
+    kv = args.format == "kv"
+    if kv:
+        _write_kv(
+            [
+                ("consistent", _kv_bool(profile.is_consistent())),
+                ("D", profile.fixpoint),
+                ("window", profile.window),
+            ]
+        )
     else:
         for i, rule in enumerate(profile.kb.rules):
             print(f"rule {i + 1}: {rule.text()}")
         print(f"D = {profile.fixpoint} (window {profile.window})")
-        for line in _chain_lines(profile, with_rules=True):
-            print(line)
+    _write(_chain(profile, kv, with_rules=True))
     return 0
 
 

@@ -11,6 +11,8 @@ Syntax still matters at the edges (files, CLI, error messages), so
 propositions parsed from text keep their source tree for display, and
 propositions built by combinators compose display trees. Propositions
 constructed directly from a mask render as a disjunction of atom terms.
+Text is produced in pieces, so a rendering of millions of terms can be
+written as it goes.
 
 The signature is deliberately capped at 24 names: masks are arbitrary
 precision integers and 2**24 bits (2 MiB per proposition) is where exact
@@ -259,7 +261,7 @@ class Proposition:
         return self.ast if self.ast is not None else self
 
     def text(self) -> str:
-        return _render(self._tree(), 0)
+        return "".join(_render(self))
 
     def __eq__(self, other):
         return (
@@ -286,27 +288,27 @@ _PREC = {"iff": 1, "imp": 2, "or": 3, "and": 4, "not": 5}
 _OP_TEXT = {"and": " & ", "or": " | ", "imp": " -> ", "iff": " <-> "}
 
 
-def _render(node, parent_prec: int) -> str:
-    """Text of a display tree, built with an explicit stack: chains of
-    thousands of connectives must not exhaust Python's recursion limit."""
-    pieces = []
-    stack = [(node, parent_prec)]
+def _render(prop: Proposition) -> Iterator[str]:
+    """The text of prop's display tree, in pieces, from an explicit stack:
+    chains of thousands of connectives must not exhaust Python's recursion
+    limit, and a writer need never hold millions of atom terms at once."""
+    stack = [(prop._tree(), 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            pieces.append(item)
+            yield item
             continue
         node, parent_prec = item
         if isinstance(node, Proposition):
-            pieces.append(_render_atoms(node, parent_prec))
+            yield from _render_atoms(node, parent_prec)
             continue
         kind = node[0]
         if kind == "const":
-            pieces.append("true" if node[1] else "false")
+            yield "true" if node[1] else "false"
         elif kind == "name":
-            pieces.append(node[1])
+            yield node[1]
         elif kind == "not":
-            pieces.append("~")
+            yield "~"
             stack.append((node[1], _PREC["not"]))
         else:
             # The binary connectives associate, so child precedence equals
@@ -316,24 +318,24 @@ def _render(node, parent_prec: int) -> str:
                 stack += [")", (node[2], prec), _OP_TEXT[kind], (node[1], prec), "("]
             else:
                 stack += [(node[2], prec), _OP_TEXT[kind], (node[1], prec)]
-    return "".join(pieces)
 
 
-def _render_atoms(prop: Proposition, parent_prec: int) -> str:
-    """A proposition with no source tree, as a disjunction of atom terms."""
-    if prop.is_true:
-        return "true"
-    if prop.is_false:
-        return "false"
+def _render_atoms(prop: Proposition, parent_prec: int) -> Iterator[str]:
+    """A proposition with no source tree, as atom terms joined by ' | '."""
+    if prop.is_true or prop.is_false:
+        yield "true" if prop.is_true else "false"
+        return
+    # A lone term is a conjunction of size literals, and several terms need
+    # two names; & binds tighter than |, so disjoined terms need no parentheses.
+    lone = prop.mask.bit_count() == 1
+    wrap = parent_prec > _PREC["and" if lone else "or"] and prop.signature.size > 1
     half, low, high = prop.signature._tables()
     bits = (1 << half) - 1
-    terms = [low[i & bits] + high[i >> half] for i in prop.atoms()]
-    if len(terms) == 1:
-        text = terms[0]
-        return f"({text})" if parent_prec > _PREC["and"] and " " in text else text
-    # & binds tighter than |, so conjunction terms need no parentheses.
-    text = " | ".join(terms)
-    return f"({text})" if parent_prec > _PREC["or"] else text
+    terms = (low[i & bits] + high[i >> half] for i in prop.atoms())
+    yield "(" + next(terms) if wrap else next(terms)
+    yield from (" | " + term for term in terms)
+    if wrap:
+        yield ")"
 
 
 # -- parsing ---------------------------------------------------------

@@ -212,16 +212,29 @@ class TestRarityAndDepthmap:
         assert record["atom_2"] == "1"  # ~a & b
         assert record["atom_3"] == "0"  # a & b
 
-    def test_depthmap_text_of_a_long_chain(self, tmp_path, capsys):
-        # The sha256 of the 2**18 lines written when each atom's text came
-        # from Signature.atom_text.
+    # The sha256 of each whole output on the 18-name chain: 2**18 depthmap
+    # lines, or a chain whose members have up to 2**17 atom terms. depthmap
+    # text was recorded when each atom's text came from Signature.atom_text,
+    # the rest while check and explain still built each chain member's whole
+    # text before writing any of it.
+    LONG_CHAIN_DIGESTS = {
+        "depthmap-text": "87d4800ef5880ef26910e0aee7386777d828bedb16753ba1e58d2b0926558e4b",
+        "depthmap-kv": "3650a50e25644bb23f61701593c406848261c9c1af9cd9cb283ecf5ba3b9816d",
+        "check-text": "bdbad33d4a3b1d9d7a222fa1ea2a4529ef11912e517f59ca08013248450dc57f",
+        "check-kv": "c5b55162966b5cffa0a03d7857cc1fa3b479e8ee317f1a99fd7fc2f2871425ea",
+        "explain-text": "efcdeaa5c50e6ccf49bf29ecac24553797dbe48e0231b9c3a3386f37a4b384e9",
+        "explain-kv": "4169504a0da1267dc94d1a10459072a98afa3a9f0be1475fe83e1c1428ceb012",
+    }
+
+    @pytest.mark.parametrize("case", LONG_CHAIN_DIGESTS)
+    def test_output_of_a_long_chain(self, tmp_path, capsys, case):
+        command, fmt = case.split("-")
         path = tmp_path / "chain.rules"
         path.write_text(CHAIN_TEXT)
-        assert main(["depthmap", "--kb", str(path)]) == 0
+        assert main([command, "--kb", str(path), "--format", fmt]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("~x0 & ~x1 & ~x2 & ")
-        digest = "87d4800ef5880ef26910e0aee7386777d828bedb16753ba1e58d2b0926558e4b"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.LONG_CHAIN_DIGESTS[case]
 
 
 class TestExplain:
@@ -562,11 +575,12 @@ for command in {self.SYMBOLIC!r}:
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
     )
-    def test_depthmap_kv_streams(self, tmp_path):
-        # Joining 2**18 kv lines before writing them took about 74 MB more
-        # than a query on the same file; written as they come, about 2 MB.
-        # VmHWM, unlike ru_maxrss, does not inherit the forking test
-        # process's own peak.
+    def test_check_explain_and_depthmap_stream(self, tmp_path):
+        # Joining 2**18 depthmap kv lines before writing them took about 74 MB
+        # more than a query on the same file, and building each chain
+        # member's whole text took check and explain 69-81 MB more; written
+        # as they come, 2-4 MB. VmHWM, unlike ru_maxrss, does not
+        # inherit the forking test process's own peak.
         path = tmp_path / "chain.rules"
         path.write_text(CHAIN_TEXT)
         script = """
@@ -593,8 +607,12 @@ print(code, peak, file=sys.stderr)
             return int(peak)
 
         query = peak_kb("query", "x0 => x17 @ 1")
-        depthmap = peak_kb("depthmap", "--format", "kv")
-        assert depthmap - query <= 10 * 1024
+        over = {
+            f"{command} {fmt}": peak_kb(command, "--format", fmt) - query
+            for command in ("check", "explain", "depthmap")
+            for fmt in ("text", "kv")
+        }
+        assert max(over.values()) <= 10 * 1024, over
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
