@@ -6,13 +6,17 @@ query or proposition string; names appearing only in the query enlarge
 the signature before compilation, which never changes verdicts about the
 file's own names. Output is a human-readable block by default or a
 line-oriented ``key=value`` block with --format kv, bit-exact across runs
-for identical inputs and seed, and written as it is rendered.
+for identical inputs and seed.
+
+Each command returns its exit code and its output as an iterable of text
+pieces, rendered as they are taken, and main writes every command's
+output through the one batched writer. A reader that closes standard
+output early stops the rendering; that is not an error, and the exit
+code is still the verdict's.
 
 Exit codes: 0 for the affirmative verdict (consistent / entailed /
 supports, and plain success for the other commands), 2 for inconsistent,
 3 for not entailed or refuted, 4 for inconclusive, 1 for any input error.
-A reader that closes standard output early is not an error: the output
-stops quietly and the exit code is still the verdict's.
 
 Only validate imports the numerical route (threshgen.polytope and
 threshgen.sampling, hence NumPy and SciPy); the other commands are
@@ -26,8 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import redirect_stdout
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .depth import DepthProfile, compile_kb, depth_text
 from .logic import _render, parse
@@ -46,15 +49,16 @@ def _kv_bool(value: bool) -> str:
 
 
 def _write(pieces) -> None:
-    # One write per 4096 pieces (an iterator of non-empty strings): there
-    # can be 2**24 depthmap lines or atom terms, and with an unbuffered
-    # stdout every write is a system call.
+    # One write per 4096 pieces (non-empty strings): there can be 2**24
+    # depthmap lines or atom terms, and with an unbuffered stdout every
+    # write is a system call.
+    pieces = iter(pieces)
     while chunk := "".join(islice(pieces, 4096)):
         sys.stdout.write(chunk)
 
 
-def _write_kv(pairs) -> None:
-    _write(f"{key}={value}\n" for key, value in pairs)
+def _kv(pairs):
+    return (f"{key}={value}\n" for key, value in pairs)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -90,27 +94,26 @@ def _chain(profile: DepthProfile, kv: bool, with_rules: bool):
         yield "\n"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     profile = compile_kb(load_kb(_read(args.kb)))
     consistent = profile.is_consistent()
     kv = args.format == "kv"
     if kv:
-        _write_kv([("consistent", _kv_bool(consistent)), ("D", profile.fixpoint)])
+        head = _kv([("consistent", _kv_bool(consistent)), ("D", profile.fixpoint)])
     else:
-        print("consistent" if consistent else "inconsistent")
-        print(f"D = {profile.fixpoint}")
-    _write(_chain(profile, kv, with_rules=False))
-    return 0 if consistent else 2
+        head = ["consistent\n" if consistent else "inconsistent\n"]
+        head.append(f"D = {profile.fixpoint}\n")
+    return 0 if consistent else 2, chain(head, _chain(profile, kv, with_rules=False))
 
 
-def cmd_query(args) -> int:
+def cmd_query(args):
     text = _read(args.kb)
     kb = load_kb(text, extra_names=query_names(args.query))
     profile = compile_kb(kb)
     query = parse_query(args.query, kb.signature)
     verdict, depth_exception, depth_antecedent = profile.decide(query)
     if args.format == "kv":
-        _write_kv(
+        output = _kv(
             [
                 ("verdict", _kv_bool(verdict)),
                 ("d_exception", depth_text(depth_exception)),
@@ -122,44 +125,43 @@ def cmd_query(args) -> int:
             ]
         )
     else:
-        print(f"query: {query.text()}")
-        print("entailed" if verdict else "not entailed")
-        print(f"d_exception = {depth_text(depth_exception)}")
-        print(f"d_antecedent = {depth_text(depth_antecedent)}")
+        output = [
+            f"query: {query.text()}\n",
+            "entailed\n" if verdict else "not entailed\n",
+            f"d_exception = {depth_text(depth_exception)}\n",
+            f"d_antecedent = {depth_text(depth_antecedent)}\n",
+        ]
         if query.antecedent.is_false:
-            print("vacuous: the antecedent is impossible")
-    return 0 if verdict else 3
+            output.append("vacuous: the antecedent is impossible\n")
+    return 0 if verdict else 3, output
 
 
-def cmd_rarity(args) -> int:
+def cmd_rarity(args):
     kb = load_kb(_read(args.kb), extra_names=query_names(args.proposition))
     profile = compile_kb(kb)
     rarity = profile.degree_of_rarity(parse(args.proposition, kb.signature))
     if args.format == "kv":
-        _write_kv([("rarity", depth_text(rarity))])
-    else:
-        print(f"rarity = {depth_text(rarity)}")
-    return 0
+        return 0, _kv([("rarity", depth_text(rarity))])
+    return 0, [f"rarity = {depth_text(rarity)}\n"]
 
 
-def cmd_depthmap(args) -> int:
+def cmd_depthmap(args):
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
     if args.format == "kv":
-        _write_kv([("names", ",".join(signature.names))])
+        head = _kv([("names", ",".join(signature.names))])
         keys, sep = map("atom_{}".format, count()), "="
     else:
-        keys, sep = signature.atom_texts(), ": "
+        head, keys, sep = [], signature.atom_texts(), ": "
     depths = zip(keys, profile.atom_depths())
-    _write(f"{key}{sep}{depth_text(d)}\n" for key, d in depths)
-    return 0
+    return 0, chain(head, (f"{key}{sep}{depth_text(d)}\n" for key, d in depths))
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args):
     profile = compile_kb(load_kb(_read(args.kb)))
     kv = args.format == "kv"
     if kv:
-        _write_kv(
+        head = _kv(
             [
                 ("consistent", _kv_bool(profile.is_consistent())),
                 ("D", profile.fixpoint),
@@ -167,23 +169,20 @@ def cmd_explain(args) -> int:
             ]
         )
     else:
-        for i, rule in enumerate(profile.kb.rules):
-            print(f"rule {i + 1}: {rule.text()}")
-        print(f"D = {profile.fixpoint} (window {profile.window})")
-    _write(_chain(profile, kv, with_rules=True))
-    return 0
+        rules = enumerate(profile.kb.rules, start=1)
+        head = [f"rule {i}: {rule.text()}\n" for i, rule in rules]
+        head.append(f"D = {profile.fixpoint} (window {profile.window})\n")
+    return 0, chain(head, _chain(profile, kv, with_rules=True))
 
 
-def cmd_zplus(args) -> int:
+def cmd_zplus(args):
     from .zplus import from_zplus, to_zplus
 
     text = _read(args.kb)
     if args.direction == "to":
-        print(format_defaults(to_zplus(load_kb(text))), end="")
-    else:
-        rules, signature = load_defaults(text)
-        print(format_kb(from_zplus(rules, signature)), end="")
-    return 0
+        return 0, [format_defaults(to_zplus(load_kb(text)))]
+    rules, signature = load_defaults(text)
+    return 0, [format_kb(from_zplus(rules, signature))]
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -203,7 +202,7 @@ def _parse_psi(text: str, rule_count: int) -> tuple[float, ...]:
     return values
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     # The sampler draws the next chunk on a helper thread while the current
     # one walks, and BLAS worker threads would take the core it needs. BLAS
     # reads these once, when NumPy first loads it; a value the caller set
@@ -229,7 +228,8 @@ def cmd_validate(args) -> int:
             kb, query, grid, params, n=args.samples, seed=args.seed
         )
     except (NumericalError, MemoryError) as error:
-        return _fail(error)
+        return _fail(error), []
+    code = {"supports": 0, "refutes": 3, "inconclusive": 4}[report.verdict]
     if args.format == "kv":
         pairs = [
             ("verdict", report.verdict),
@@ -244,22 +244,23 @@ def cmd_validate(args) -> int:
         ]
         for i, row in enumerate(report.quantiles):
             pairs.append((f"quantiles_{i}", ",".join(_float_text(q) for q in row)))
-        _write_kv(pairs)
-    else:
-        print(f"verdict: {report.verdict} (threshold {depth_text(report.threshold)})")
-        print(f"fitted exponent = {_float_text(report.fitted_exponent)}")
-        for scale, exponent, row in zip(
-            report.psi_scales, report.exponents, report.quantiles
-        ):
-            quantile_text = ", ".join(
-                f"{_float_text(d)} -> {_float_text(q)}"
-                for d, q in zip(report.delta_grid, row)
-            )
-            print(
-                f"psi x{_float_text(scale)}: exponent {_float_text(exponent)};"
-                f" quantiles {quantile_text}"
-            )
-    return {"supports": 0, "refutes": 3, "inconclusive": 4}[report.verdict]
+        return code, _kv(pairs)
+    output = [
+        f"verdict: {report.verdict} (threshold {depth_text(report.threshold)})\n",
+        f"fitted exponent = {_float_text(report.fitted_exponent)}\n",
+    ]
+    for scale, exponent, row in zip(
+        report.psi_scales, report.exponents, report.quantiles
+    ):
+        quantile_text = ", ".join(
+            f"{_float_text(d)} -> {_float_text(q)}"
+            for d, q in zip(report.delta_grid, row)
+        )
+        output.append(
+            f"psi x{_float_text(scale)}: exponent {_float_text(exponent)};"
+            f" quantiles {quantile_text}\n"
+        )
+    return code, output
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,51 +328,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _QuietPipe:
-    """Standard output that falls silent once its reader closes the pipe.
-
-    Nothing the command prints can reach a closed pipe, but its verdict
-    still decides the exit code, so the broken pipe is not an error.
-    """
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def write(self, text: str) -> int:
-        try:
-            self.stream.write(text)
-        except BrokenPipeError:
-            self._silence()
-        return len(text)
-
-    def flush(self) -> None:
-        try:
-            self.stream.flush()
-        except BrokenPipeError:
-            self._silence()
-
-    def _silence(self) -> None:
-        # Point the descriptor at /dev/null: later writes, and whatever the
-        # stream still buffers when Python flushes at exit, go nowhere.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, self.stream.fileno())
-        os.close(devnull)
-
-
 def _fail(error: Exception) -> int:
     print(f"error: {error}", file=sys.stderr)
     return 1
 
 
 def main(argv=None) -> int:
-    stdout = _QuietPipe(sys.stdout)
-    with redirect_stdout(stdout):
-        args = build_parser().parse_args(argv)
-        try:
-            code = args.func(args)
-            stdout.flush()
-        except (ValueError, OSError) as error:
-            return _fail(error)
+    args = build_parser().parse_args(argv)
+    try:
+        code, output = args.func(args)
+        _write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, so the rendering stops, but the verdict
+        # still decides the exit code. Point the descriptor at /dev/null:
+        # whatever the stream still buffers when Python flushes at exit
+        # goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (ValueError, OSError) as error:
+        return _fail(error)
     return code
 
 

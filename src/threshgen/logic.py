@@ -277,9 +277,14 @@ class Proposition:
         return self.text()
 
     def __repr__(self):
-        text = self.text()
-        if len(text) > 80:
-            text = text[:77] + "..."
+        # Only as many pieces as the first 81 characters take: a proposition
+        # can have millions of atom terms.
+        text = ""
+        for piece in _render(self):
+            text += piece
+            if len(text) > 80:
+                text = text[:77] + "..."
+                break
         return f"Proposition({text!r})"
 
 

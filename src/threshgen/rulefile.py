@@ -121,22 +121,28 @@ def _numbered_lines(text: str):
 
 def file_signature(text: str, extra_names=()) -> Signature:
     """Signature of every identifier in the file plus extra_names, in order."""
-    names = scan_names(_strip_all_thresholds(text))
+    names = _scan_lines(text)
     for name in extra_names:
         if name not in names:
             names.append(name)
     return Signature(names)
 
 
-def _strip_all_thresholds(text: str) -> str:
+def _scan_lines(text: str) -> list[str]:
     # Identifier scanning must not see threshold text ('inf' would leak
     # into the signature) or the '=>' separator the tokenizer rejects, so
-    # drop everything after '@' on each line and blank out the arrows.
+    # drop everything after '@' on each line and blank out each arrow with
+    # two spaces, which keeps a bad character at its own line and column.
     lines = []
     for raw in text.splitlines():
         line = _strip_comment(raw)
-        lines.append(line.split("@")[0].replace("=>", " "))
-    return "\n".join(lines)
+        lines.append(line.split("@")[0].replace("=>", "  "))
+    try:
+        return scan_names("\n".join(lines))
+    except ParseError as error:
+        raise RuleFileError(
+            f"line {error.line}, column {error.column}: {error.bare_message}"
+        ) from error
 
 
 def load_kb(text: str, extra_names=()) -> KnowledgeBase:
@@ -182,7 +188,7 @@ def parse_query(text: str, signature: Signature) -> Generalization:
 
 def query_names(text: str) -> list[str]:
     """Identifiers a query string would add to a signature."""
-    return scan_names(_strip_all_thresholds(text))
+    return _scan_lines(text)
 
 
 def format_kb(kb: KnowledgeBase) -> str:

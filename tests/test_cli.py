@@ -621,8 +621,10 @@ print(code, peak, file=sys.stderr)
             (["query", "t => a | b @ 2"], 0),
             (["query", "t => a | b @ 3"], 3),
             (["depthmap"], 0),
+            (["check"], 0),
+            (["validate", "--samples", "300", "t => a | b @ 3"], 3),
         ],
-        ids=["entailed", "not-entailed", "depthmap"],
+        ids=["entailed", "not-entailed", "depthmap", "check", "validate-refutes"],
     )
     def test_closed_stdout_keeps_the_exit_code(self, kb_file, argv, code, buffered):
         env = child_env(PYTHONUNBUFFERED="" if buffered else "1")

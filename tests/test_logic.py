@@ -190,6 +190,33 @@ class TestPropositionAlgebra:
         rule = tg.Generalization(chain, q, 1)
         assert repr(rule).startswith("Generalization(antecedent=Proposition('a | a")
 
+    def test_repr_shows_at_most_80_characters(self):
+        p = tg.Proposition.name(AB, "a")
+        chain = p
+        for n in range(2, 30):
+            chain = chain | p
+            text = chain.text()  # 4n - 3 characters
+            shown = text if len(text) <= 80 else text[:77] + "..."
+            assert repr(chain) == f"Proposition({shown!r})"
+
+    def test_repr_renders_only_what_it_shows(self, monkeypatch):
+        # Chain member 1 of the 18-name chain t => x0, x0 => x1, ...,
+        # x16 => x17, all @ 1, has 2**18 - 1 atom terms.
+        text = "t => x0 @ 1\n" + "".join(f"x{i} => x{i + 1} @ 1\n" for i in range(17))
+        member = tg.compile_kb(tg.load_kb(text)).chain[1]
+        shown = member.text()[:77] + "..."
+        render = tg.logic._render
+        drawn = []
+
+        def counted(prop):
+            for piece in render(prop):
+                drawn.append(piece)
+                yield piece
+
+        monkeypatch.setattr(tg.logic, "_render", counted)
+        assert repr(member) == f"Proposition({shown!r})"
+        assert len(drawn) <= 2
+
     def test_cross_signature_operations_rejected(self):
         a = tg.Proposition.name(AB, "a")
         other = tg.Proposition.name(ABC, "a")

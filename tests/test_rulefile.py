@@ -79,6 +79,12 @@ class TestLoadKb:
         with pytest.raises(tg.RuleFileError, match=f"line 1, column {expected}"):
             tg.load_kb("ab => (c @ 1\n")
 
+    def test_bad_character_reports_its_own_column(self):
+        # The column counts both characters of each '=>' before it.
+        with pytest.raises(tg.RuleFileError) as error:
+            tg.load_kb("a => b @ 1\nt => a => b $ @ 1\n")
+        assert str(error.value) == "line 2, column 13: unexpected character '$'"
+
 
 class TestLoadDefaults:
     def test_basic_file(self):
@@ -135,6 +141,11 @@ class TestParseQuery:
 
     def test_query_names(self):
         assert tg.query_names("t => a | zebra @ 2") == ["a", "zebra"]
+
+    def test_bad_character_in_query_names(self):
+        with pytest.raises(tg.RuleFileError) as error:
+            tg.query_names("t => a $ @ 1")
+        assert str(error.value) == "line 1, column 8: unexpected character '$'"
 
 
 class TestFormats:
