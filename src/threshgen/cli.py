@@ -148,13 +148,14 @@ def cmd_rarity(args):
 def cmd_depthmap(args):
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
+    depths = profile.atom_depths()
+    values = map({d: depth_text(d) for d in set(depths)}.__getitem__, depths)
     if args.format == "kv":
         head = _kv([("names", ",".join(signature.names))])
-        keys, sep = map("atom_{}".format, count()), "="
+        lines = map("atom_{}={}\n".format, count(), values)
     else:
-        head, keys, sep = [], signature.atom_texts(), ": "
-    depths = zip(keys, profile.atom_depths())
-    return 0, chain(head, (f"{key}{sep}{depth_text(d)}\n" for key, d in depths))
+        head, lines = [], map("{}: {}\n".format, signature.atom_texts(), values)
+    return 0, chain(head, lines)
 
 
 def cmd_explain(args):

@@ -19,6 +19,13 @@ rho entailing chain[d], or infinity when rho entails the stable set
 chain[D]; it measures how rare rho is forced to be, in orders of a small
 exception probability.
 
+compile_kb guarantees the nesting (chain[d + 1] entails chain[d]), and
+three methods rely on it: compile_kb itself, since a rule that stops
+firing never fires again; DepthProfile.depth_of, which bisects the chain
+because the levels rho entails are a prefix of it; and
+DepthProfile.atom_depths, which gives each atom the level where it
+leaves the chain.
+
 Queries reduce to a depth gap: the knowledge base supports
 ``gamma => zeta @ j`` exactly when
 
@@ -36,6 +43,7 @@ infinity, which makes the extended comparisons native Python.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from operator import attrgetter
 
 from .logic import Proposition, Signature, SignatureError
@@ -172,6 +180,9 @@ class DepthProfile(Record):
     stable once it stops shrinking over `window` consecutive steps, and
     every depth beyond fixpoint has chain value equivalent to
     chain[fixpoint].
+
+    compile_kb guarantees that the chain is nested, chain[d + 1] entailing
+    chain[d]; depth_of and atom_depths rely on it.
     """
 
     kb: KnowledgeBase
@@ -200,28 +211,34 @@ class DepthProfile(Record):
         return self.chain[self.fixpoint]
 
     def depth_of(self, rho: Proposition) -> Depth:
-        """Largest d with rho entailing chain[d]; infinity past the fixpoint."""
+        """Largest d with rho entailing chain[d]; infinity past the fixpoint.
+
+        The levels rho entails are a prefix of the nested chain, and
+        chain[0] is the true proposition, so after the limit is tested a
+        bisection of chain[1:fixpoint] finds the prefix's end in
+        ceil(log2(fixpoint)) more entailment tests.
+        """
         if rho.signature != self.kb.signature:
             raise SignatureError("proposition signature differs from knowledge base")
         if rho.entails(self.limit):
             return INFINITY
-        for d in range(self.fixpoint - 1, -1, -1):
-            if rho.entails(self.chain[d]):
-                return d
-        raise StabilizationError("chain[0] is not the true proposition")
+        end = bisect_left(self.chain, True, 1, self.fixpoint, key=lambda c: not rho.entails(c))
+        return end - 1
 
     def atom_depths(self) -> list[Depth]:
         """depth_of of every minterm, indexed by atom.
 
         Read off the chain instead of asking depth_of 2**r times. Every
-        atom starts at depth 0, since chain[0] is the true proposition;
-        each level below the fixpoint is then walked once, in ascending
-        order so the deepest level an atom lies in is the one that sticks,
-        and finally the atoms of the limit are set to infinity.
+        atom starts at depth 0, since chain[0] is the true proposition.
+        The chain is nested, so an atom of chain[d] that is not in
+        chain[d + 1] has depth d: each level below the fixpoint sets the
+        atoms it loses, and the atoms of the limit are set to infinity,
+        so each atom is assigned at most once.
         """
         depths: list[Depth] = [0] * self.kb.signature.atom_count
         for d in range(1, self.fixpoint):
-            for i in self.chain[d].atoms():
+            lost = Proposition(self.kb.signature, self.chain[d].mask ^ self.chain[d + 1].mask)
+            for i in lost.atoms():
                 depths[i] = d
         for i in self.limit.atoms():
             depths[i] = INFINITY
@@ -285,11 +302,10 @@ def compile_kb(kb: KnowledgeBase) -> DepthProfile:
     chain[D + window]; the profile keeps the chain only up to D.
     """
     sig = kb.signature
-    true = Proposition.true(sig)
     finite = kb.finite_thresholds()
     window = max([1] + finite)
     exceptions = [rule.exception() for rule in kb.rules]
-    chain: list[Proposition] = [true]
+    chain: list[Proposition] = [Proposition.true(sig)]
     fired: list[tuple[int, ...]] = [()]
     # The chain provably stabilizes within (m + 1) * window steps, so the
     # fixpoint test succeeds by depth (m + 1) * window + window.
@@ -303,10 +319,10 @@ def compile_kb(kb: KnowledgeBase) -> DepthProfile:
             )
         mask = 0
         fired_here = []
-        for i, rule in enumerate(kb.rules):
-            back = d - rule.threshold  # -inf for @ inf rules: never reaches 0
-            reference = true if back <= 0 else chain[int(back)]
-            if rule.antecedent.entails(reference):
+        # A rule that stops firing never fires again, and every rule fires at level 1.
+        for i in fired[-1] if d > 1 else range(kb.size):
+            back = d - kb.rules[i].threshold  # -inf for @ inf rules: never reaches 0
+            if back <= 0 or kb.rules[i].antecedent.entails(chain[int(back)]):
                 mask |= exceptions[i].mask
                 fired_here.append(i)
         chain.append(Proposition(sig, mask))

@@ -346,18 +346,24 @@ def brute_force_atom_depths(kb, fixpoint):
 
 def reference_chain(kb, length):
     """Straight-line reimplementation of the exception chain, for cross-
-    checking the engine's fixpoint detection. Returns chain[0..length]."""
+    checking the engine's fixpoint detection and its pruning of rules.
+    Tests every rule at every level. Returns chain[0..length] and, for
+    each level, the indices of the rules that fired there."""
     true = tg.Proposition.true(kb.signature)
     chain = [true]
+    fired = [()]
     for d in range(1, length + 1):
         level = tg.Proposition.false(kb.signature)
-        for rule in kb.rules:
+        fired_here = []
+        for i, rule in enumerate(kb.rules):
             back = d - rule.threshold
             reference = true if back <= 0 else chain[int(back)]
             if rule.antecedent.entails(reference):
                 level = level | rule.exception()
+                fired_here.append(i)
         chain.append(level)
-    return chain
+        fired.append(tuple(fired_here))
+    return chain, fired
 
 
 def engine_atom_depths(profile):

@@ -107,18 +107,24 @@ class TestCompile:
                 assert profile.chain[d + 1].entails(profile.chain[d])
 
     def test_fixpoint_is_stable_and_minimal(self):
+        # compile_kb tests at each level only the rules that fired at the
+        # level before; the reference tests every rule at every level.
         rng = np.random.default_rng(21)
+        consistency = set()
         for _ in range(150):
             kb = random_kb(rng, allow_infinite=True)
             profile = tg.compile_kb(kb)
             window = profile.window
-            chain = reference_chain(kb, profile.fixpoint + 2 * window)
+            chain, fired = reference_chain(kb, profile.fixpoint + 2 * window)
+            assert profile.fired == tuple(fired[: profile.fixpoint + 1])
             for d, level in enumerate(profile.chain):
                 assert level.equivalent(chain[d])
             for d in range(profile.fixpoint, profile.fixpoint + window + 1):
                 assert chain[d].equivalent(profile.limit)
             for early in range(profile.fixpoint):
                 assert not chain[early].entails(chain[early + window])
+            consistency.add(profile.is_consistent())
+        assert consistency == {True, False}
 
     def test_rule_order_is_irrelevant(self):
         rng = np.random.default_rng(22)
@@ -221,6 +227,52 @@ class TestDepthOf:
             got = engine_atom_depths(profile)
             assert np.array_equal(got, expected), (kb, got, expected)
 
+    def test_bisects_the_nested_chain(self, monkeypatch):
+        # t => x0 @ 1 and ~x0 & ... & ~x(i-1) => xi @ 1 for i = 1..15: each
+        # level drops one more name, so the chain has 17 levels before false.
+        names = [f"x{i}" for i in range(16)]
+        text = "t => x0 @ 1\n" + "".join(
+            " & ".join(f"~{n}" for n in names[:i]) + f" => {names[i]} @ 1\n"
+            for i in range(1, 16)
+        )
+        kb = tg.load_kb(text)
+        sig = kb.signature
+        profile = tg.compile_kb(kb)
+        assert profile.fixpoint == 17
+        masks = [level.mask for level in profile.chain]
+
+        def linear_depth(rho):
+            if rho.mask | profile.limit.mask == profile.limit.mask:
+                return tg.INFINITY
+            for d in range(profile.fixpoint - 1, -1, -1):
+                if rho.mask | masks[d] == masks[d]:
+                    return d
+
+        rng = np.random.default_rng(34)
+        probes = [random_proposition(rng, sig) for _ in range(20)]
+        # Random parts of each level reach every depth, infinity included.
+        for mask in masks:
+            for _ in range(3):
+                part = mask & random_proposition(rng, sig).mask
+                probes.append(tg.Proposition(sig, part))
+        expected = [linear_depth(rho) for rho in probes]
+        assert set(expected) == set(range(profile.fixpoint)) | {tg.INFINITY}
+
+        calls = 0
+        entails = tg.Proposition.entails
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return entails(self, other)
+
+        monkeypatch.setattr(tg.Proposition, "entails", counted)
+        bound = 1 + math.ceil(math.log2(profile.fixpoint))
+        for rho, depth in zip(probes, expected):
+            calls = 0
+            assert profile.depth_of(rho) == depth
+            assert calls <= bound, (depth, calls)
+
     def test_depth_determined_by_atom_minimum(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
@@ -264,7 +316,7 @@ class TestAtomDepths:
             assert got == [tg.INFINITY] * kb.signature.atom_count
             assert np.array_equal(np.array(got, dtype=float), engine_atom_depths(profile))
         assert seen_inf
-        assert max(fixpoints) >= 2, fixpoints
+        assert 1 in fixpoints and max(fixpoints) >= 2, fixpoints
 
     def test_matches_brute_force_search(self):
         rng = np.random.default_rng(30)
