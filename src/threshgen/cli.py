@@ -32,7 +32,7 @@ import os
 import sys
 from itertools import chain, count, islice
 
-from .depth import DepthProfile, compile_kb, depth_text
+from .depth import INFINITY, DepthProfile, compile_kb, depth_text
 from .logic import _render, parse
 from .rulefile import (
     format_defaults,
@@ -149,7 +149,8 @@ def cmd_depthmap(args):
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
     depths = profile.atom_depths()
-    values = map({d: depth_text(d) for d in set(depths)}.__getitem__, depths)
+    texts = {d: depth_text(d) for d in (*range(profile.fixpoint), INFINITY)}
+    values = map(texts.__getitem__, depths)
     if args.format == "kv":
         head = _kv([("names", ",".join(signature.names))])
         lines = map("atom_{}={}\n".format, count(), values)

@@ -28,7 +28,10 @@ each stream, and every point, is unchanged.
 
 One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
 its own polytope and with its own random stream, and hands its visited
-points back one chunk at a time. _lockstep gives each chain its rule rows
+points back one chunk at a time. Past one projection per chain and
+chunk, a step is a few NumPy calls over the whole group and one Python
+list of its K step lengths, so the per-call cost is paid per step, not
+per chain. _lockstep gives each chain its rule rows
 followed by the non-negativity rows, -I, all with right-hand side 0; only
 the rule rows are multiplied by the directions, since the -I rows meet a
 direction d at -d, and their slack is the walk's point, so the visited
@@ -100,7 +103,7 @@ REFUTE_MARGIN = 0.7
 # 1 MB per 256 walked coordinates.
 _CHUNK = 512
 # Steps whose chords are cut at once: the (64, K, m) projections on every
-# row and the (64, K, 2, m) ends buffer are an eighth of a whole chunk's.
+# row and the (2, 64, K, m) ends buffer are an eighth of a whole chunk's.
 _SLICE = 64
 _DEGENERATE_RADIUS = 1e-12
 # Coordinates walked in lockstep: a group of chains of dimension q holds
@@ -166,28 +169,31 @@ def _walk(
     with one matmul per chain over every row of normals, which may hold
     more rows than steps are taken, so a partial chunk repeats the
     arithmetic of the start of a full one; BLAS may round a row of a
-    shorter product differently, so the product is never split. The rows
-    that bound a chord are found for all chains at once, 64 steps at a
-    time: the slack is divided by a NaN-masked array of the rising rows
-    and the negated falling rows, and one fmin reduction gives hi and
-    -lo. The step length itself is plain float arithmetic per chain. out
+    shorter product differently, so the product is never split.
+
+    Everything else treats the K chains as one array. The chord ends are
+    masked 64 steps at a time into a side-major (2, 64, K, m) buffer: the
+    rising rows, NaN elsewhere, then the negated falling rows, each side
+    one contiguous block. A step divides the slack by both sides at once
+    over (2, K, m), and one fmin reduction gives every chain's hi and
+    -lo. The K step lengths are plain float arithmetic on one list, and
+    the slack takes all K moves in one multiply and one subtraction. out
     may be normals[:, :steps]: each 64-step slice of directions is read
     before the visited points of that slice are written over it.
     """
     chains, steps = uniforms.shape
     m = len(rows[0])
     r = m - y.shape[1]
-    moves = np.zeros((steps, chains, 1))
     slack = np.array([b - a @ x for a, b, x in zip(rows, rhs, y)])
-    slack_by_side = slack[:, None, :]
     point = slack[:, r:]
     rule_along = np.empty((chains, normals.shape[1], r))
     for k in range(chains):
         np.matmul(normals[k], rows[k][:r].T, out=rule_along[k])
     along = np.empty((_SLICE, chains, m))
-    ends = np.empty((_SLICE, chains, 2, m))
-    ratio = np.empty((chains, 2, m))
-    bounds = np.empty((chains, 2))
+    ends = np.empty((2, _SLICE, chains, m))
+    ratio = np.empty((2, chains, m))
+    bounds = np.empty((2, chains))
+    shift = np.empty((chains, m))
     picks = uniforms.T.tolist()
     visits = out.transpose(1, 0, 2)
     inf = math.inf
@@ -197,28 +203,35 @@ def _walk(
             slice_along = along[: last - first]
             slice_along[:, :, :r] = rule_along[:, first:last].transpose(1, 0, 2)
             np.negative(normals[:, first:last].transpose(1, 0, 2), out=slice_along[:, :, r:])
-            slice_ends = ends[: last - first]
+            slice_ends = ends[:, : last - first]
+            rising, falling = slice_ends
             # Rising rows bound the chord above and falling rows below.
             # Every other entry is 0/False = NaN, which the fmin reduction
             # skips; a bounding entry is 0/True = 0 plus its exact value.
-            np.divide(0.0, slice_along > 0.0, out=slice_ends[:, :, 0])
-            np.divide(0.0, slice_along < 0.0, out=slice_ends[:, :, 1])
-            slice_ends[:, :, 0] += slice_along
-            slice_ends[:, :, 1] -= slice_along
-            for chain_picks, step_ends, step_along, moved, visit in zip(
-                picks[first:last], slice_ends, slice_along, moves[first:last], visits[first:last]
+            np.divide(0.0, slice_along > 0.0, out=rising)
+            np.divide(0.0, slice_along < 0.0, out=falling)
+            rising += slice_along
+            falling -= slice_along
+            for chain_picks, step_ends, step_along, visit in zip(
+                picks[first:last],
+                slice_ends.transpose(1, 0, 2, 3),
+                slice_along,
+                visits[first:last],
             ):
-                np.divide(slack_by_side, step_ends, out=ratio)
+                np.divide(slack, step_ends, out=ratio)
                 np.fmin.reduce(ratio, axis=2, out=bounds)
-                for k, ((hi, low), u) in enumerate(zip(bounds.tolist(), chain_picks)):
-                    lo = -low
-                    # A bounded polytope yields finite chords; the guard
-                    # keeps a pathological direction (or a side with no
-                    # bounding row, which reduces to NaN) from poisoning
-                    # the walk.
-                    if -inf < lo <= hi < inf:
-                        moved[k] = lo + u * (hi - lo)
-                slack -= moved * step_along
+                his, lows = bounds.tolist()
+                # lo = -low, and u * (hi + low) - low is lo + u * (hi - lo)
+                # bit for bit. A bounded polytope yields finite chords; the
+                # guard keeps a pathological direction (or a side with no
+                # bounding row, which reduces to NaN) from poisoning the
+                # walk, and that chain stays where it is.
+                moved = [
+                    u * (hi + low) - low if -inf < -low <= hi < inf else 0.0
+                    for hi, low, u in zip(his, lows, chain_picks)
+                ]
+                np.multiply(np.array(moved)[:, None], step_along, out=shift)
+                slack -= shift
                 visit[...] = point
     y[:] = point
 

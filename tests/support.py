@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: generators and independent oracles."""
 
+import math
 import os
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from scipy.stats import beta
 
 import threshgen as tg
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _lockstep
+from threshgen.sampling import _CHUNK, _SLICE, _lockstep
 
 
 def child_env(**overrides):
@@ -92,6 +93,78 @@ def reference_walk(rows, rhs, y, normals, uniforms, out):
             if np.isfinite(lo) and np.isfinite(hi) and hi >= lo:
                 y += (lo + uniforms[step] * (hi - lo)) * unit
         out[step] = y
+
+
+def lockstep_inputs(seed, chains, q, drawn=_CHUNK, rules=3):
+    """K chains in _walk's lockstep layout, each in its own polytope: the
+    simplex cut by random homogeneous rule rows, each -0.05 at the centre,
+    then -I, all with right-hand side 0. Every chain starts at the centre
+    and steps along sum-zero normals, as _lockstep walks."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random((chains, rules, q))
+    rule_rows = weights - weights.mean(axis=2, keepdims=True) - 0.05
+    rows = np.concatenate([rule_rows, np.broadcast_to(-np.eye(q), (chains, q, q))], axis=1)
+    rhs = np.zeros(rows.shape[:2])
+    y = np.full((chains, q), 1.0 / q)
+    normals = rng.standard_normal((chains, drawn, q))
+    normals -= normals.mean(axis=2, keepdims=True)
+    uniforms = rng.random((chains, drawn))
+    return rows, rhs, y, normals, uniforms
+
+
+def loop_walk(rows, rhs, y, normals, uniforms, out):
+    """The walk kernel's arithmetic, chain by chain within each step, as
+    the reference for sampling._walk: the chord ends laid out
+    (64, K, 2, m), each chain's step length lo + u * (hi - lo) written
+    into a (K, 1) array one chain at a time. _walk must give the same
+    points and final state bit for bit."""
+    chains, steps = uniforms.shape
+    m = len(rows[0])
+    r = m - y.shape[1]
+    moves = np.zeros((steps, chains, 1))
+    slack = np.array([b - a @ x for a, b, x in zip(rows, rhs, y)])
+    slack_by_side = slack[:, None, :]
+    point = slack[:, r:]
+    rule_along = np.empty((chains, normals.shape[1], r))
+    for k in range(chains):
+        np.matmul(normals[k], rows[k][:r].T, out=rule_along[k])
+    along = np.empty((_SLICE, chains, m))
+    ends = np.empty((_SLICE, chains, 2, m))
+    ratio = np.empty((chains, 2, m))
+    bounds = np.empty((chains, 2))
+    picks = uniforms.T.tolist()
+    visits = out.transpose(1, 0, 2)
+    inf = math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first in range(0, steps, _SLICE):
+            last = min(first + _SLICE, steps)
+            slice_along = along[: last - first]
+            slice_along[:, :, :r] = rule_along[:, first:last].transpose(1, 0, 2)
+            np.negative(normals[:, first:last].transpose(1, 0, 2), out=slice_along[:, :, r:])
+            slice_ends = ends[: last - first]
+            # Rising rows bound the chord above and falling rows below.
+            # Every other entry is 0/False = NaN, which the fmin reduction
+            # skips; a bounding entry is 0/True = 0 plus its exact value.
+            np.divide(0.0, slice_along > 0.0, out=slice_ends[:, :, 0])
+            np.divide(0.0, slice_along < 0.0, out=slice_ends[:, :, 1])
+            slice_ends[:, :, 0] += slice_along
+            slice_ends[:, :, 1] -= slice_along
+            for chain_picks, step_ends, step_along, moved, visit in zip(
+                picks[first:last], slice_ends, slice_along, moves[first:last], visits[first:last]
+            ):
+                np.divide(slack_by_side, step_ends, out=ratio)
+                np.fmin.reduce(ratio, axis=2, out=bounds)
+                for k, ((hi, low), u) in enumerate(zip(bounds.tolist(), chain_picks)):
+                    lo = -low
+                    # A bounded polytope yields finite chords; the guard
+                    # keeps a pathological direction (or a side with no
+                    # bounding row, which reduces to NaN) from poisoning
+                    # the walk.
+                    if -inf < lo <= hi < inf:
+                        moved[k] = lo + u * (hi - lo)
+                slack -= moved * step_along
+                visit[...] = point
+    y[:] = point
 
 
 def lockstep_points(spaces, seeds, n, burn_in):

@@ -212,6 +212,13 @@ class TestRarityAndDepthmap:
         assert record["atom_2"] == "1"  # ~a & b
         assert record["atom_3"] == "0"  # a & b
 
+    def test_depthmap_of_inconsistent_kb(self, bad_kb_file, capsys):
+        # Fixpoint 0: the limit is the whole chain, so no atom has depth 0.
+        assert main(["depthmap", "--kb", bad_kb_file, "--format", "kv"]) == 0
+        record = parse_kv(capsys.readouterr().out)
+        assert record.pop("names") == "a"
+        assert record == {"atom_0": "inf", "atom_1": "inf"}
+
     # The sha256 of each whole output on the 18-name chain: 2**18 depthmap
     # lines, or a chain whose members have up to 2**17 atom terms. depthmap
     # text was recorded when each atom's text came from Signature.atom_text,

@@ -12,7 +12,9 @@ from scipy.stats import beta
 import threshgen as tg
 from support import (
     exact_quantile,
+    lockstep_inputs,
     lockstep_points,
+    loop_walk,
     per_point_quantiles,
     random_kb,
     random_proposition,
@@ -21,7 +23,7 @@ from support import (
 )
 from threshgen import polytope, sampling
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _walk
+from threshgen.sampling import _CHUNK, _walk
 
 A1 = tg.Signature(("a",))
 AB = tg.Signature(("a", "b"))
@@ -85,6 +87,22 @@ def run_kernel(problems, steps):
     return y, out
 
 
+def walk_as_loop_walk(inputs, steps):
+    """_walk's visited points, once they and its final state are checked
+    to equal support.loop_walk's bit for bit; each kernel walks its own
+    copy of the inputs."""
+    results = []
+    for kernel in (_walk, loop_walk):
+        rows, rhs, y, normals, uniforms = (part.copy() for part in inputs)
+        out = np.empty((len(y), steps, y.shape[1]))
+        kernel(rows, rhs, y, normals, uniforms[:, :steps], out)
+        results.append((out, y))
+    (out, y), (loop_out, loop_y) = results
+    assert np.array_equal(out, loop_out)
+    assert np.array_equal(y, loop_y)
+    return out
+
+
 class TestWalkKernel:
     # Hit-and-run is chaotic: rounding differences between the kernel and
     # the step-at-a-time reference compound exponentially along a
@@ -128,6 +146,25 @@ class TestWalkKernel:
             y_one, out_one = run_kernel([problem], steps)
             assert np.array_equal(out_all[k], out_one[0])
             assert np.array_equal(y_all[k], y_one[0])
+
+    @pytest.mark.parametrize("q", [4, 32, 256])
+    @pytest.mark.parametrize("chains", [1, 4, 12])
+    def test_equals_loop_walk(self, chains, q):
+        walk_as_loop_walk(lockstep_inputs(q + chains, chains, q), _CHUNK)
+
+    def test_equals_loop_walk_on_a_partial_chunk(self):
+        # 700 = 10 * 64 + 60 steps from 1024 rows of normals: a partial
+        # chunk that ends in a partial slice.
+        walk_as_loop_walk(lockstep_inputs(3, 4, 16, drawn=1024), 700)
+
+    def test_equals_loop_walk_through_an_empty_chord(self):
+        # A zero normal meets every row at 0, so both ends reduce to NaN
+        # and the guard keeps that chain in place for the step.
+        inputs = lockstep_inputs(5, 4, 32)
+        inputs[3][2, 100] = 0.0
+        out = walk_as_loop_walk(inputs, _CHUNK)
+        assert np.array_equal(out[2, 100], out[2, 99])
+        assert not np.array_equal(out[1, 100], out[1, 99])
 
     def test_visited_points_may_overwrite_the_normals(self):
         steps = 700
