@@ -207,16 +207,10 @@ class Proposition:
     # -- connectives -------------------------------------------------
 
     def __and__(self, other: "Proposition") -> "Proposition":
-        _check_same_signature(self, other)
-        return Proposition(
-            self.signature, self.mask & other.mask, ("and", self._tree(), other._tree())
-        )
+        return _connect("and", self, other)
 
     def __or__(self, other: "Proposition") -> "Proposition":
-        _check_same_signature(self, other)
-        return Proposition(
-            self.signature, self.mask | other.mask, ("or", self._tree(), other._tree())
-        )
+        return _connect("or", self, other)
 
     def __invert__(self) -> "Proposition":
         return Proposition(
@@ -261,6 +255,11 @@ class Proposition:
         return self.ast if self.ast is not None else self
 
     def text(self) -> str:
+        """The proposition's text, with the parentheses its parse needs.
+
+        >>> parse("(a -> b) -> c", Signature("abc")).text()
+        '(a -> b) -> c'
+        """
         return "".join(_render(self))
 
     def __eq__(self, other):
@@ -288,24 +287,40 @@ class Proposition:
         return f"Proposition({text!r})"
 
 
-# Rendering precedence, loosest first: <->, ->, |, &, ~.
-_PREC = {"iff": 1, "imp": 2, "or": 3, "and": 4, "not": 5}
-_OP_TEXT = {"and": " & ", "or": " | ", "imp": " -> ", "iff": " <-> "}
+# The binary connectives, loosest first: token kind -> (text, precedence,
+# groups right, mask rule). '->' alone groups to the right, and it alone
+# does not associate. '~' binds tighter than all of them.
+_BINARY = {
+    "iff": (" <-> ", 1, False, lambda full, p, q: full ^ p ^ q),
+    "imp": (" -> ", 2, True, lambda full, p, q: (full ^ p) | q),
+    "or": (" | ", 3, False, lambda full, p, q: p | q),
+    "and": (" & ", 4, False, lambda full, p, q: p & q),
+}
+_NOT_PREC = 5
+
+
+def _connect(kind: str, p: Proposition, q: Proposition) -> Proposition:
+    """p and q joined by the binary connective kind."""
+    _check_same_signature(p, q)
+    mask = _BINARY[kind][3](p.signature.full_mask, p.mask, q.mask)
+    return Proposition(p.signature, mask, (kind, p._tree(), q._tree()))
 
 
 def _render(prop: Proposition) -> Iterator[str]:
     """The text of prop's display tree, in pieces, from an explicit stack:
     chains of thousands of connectives must not exhaust Python's recursion
-    limit, and a writer need never hold millions of atom terms at once."""
+    limit, and a writer need never hold millions of atom terms at once.
+    A node looser than its floor is parenthesized. An operand's floor is
+    its connective's precedence, one higher for the left operand of '->'."""
     stack = [(prop._tree(), 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             yield item
             continue
-        node, parent_prec = item
+        node, floor = item
         if isinstance(node, Proposition):
-            yield from _render_atoms(node, parent_prec)
+            yield from _render_atoms(node, floor)
             continue
         kind = node[0]
         if kind == "const":
@@ -314,18 +329,15 @@ def _render(prop: Proposition) -> Iterator[str]:
             yield node[1]
         elif kind == "not":
             yield "~"
-            stack.append((node[1], _PREC["not"]))
+            stack.append((node[1], _NOT_PREC))
         else:
-            # The binary connectives associate, so child precedence equals
-            # prec. The stack is last in, first out: push right to left.
-            prec = _PREC[kind]
-            if parent_prec > prec:
-                stack += [")", (node[2], prec), _OP_TEXT[kind], (node[1], prec), "("]
-            else:
-                stack += [(node[2], prec), _OP_TEXT[kind], (node[1], prec)]
+            # The stack is last in, first out: push right to left.
+            text, prec, right, _ = _BINARY[kind]
+            operands = [(node[2], prec), text, (node[1], prec + 1 if right else prec)]
+            stack += [")", *operands, "("] if floor > prec else operands
 
 
-def _render_atoms(prop: Proposition, parent_prec: int) -> Iterator[str]:
+def _render_atoms(prop: Proposition, floor: int) -> Iterator[str]:
     """A proposition with no source tree, as atom terms joined by ' | '."""
     if prop.is_true or prop.is_false:
         yield "true" if prop.is_true else "false"
@@ -333,7 +345,7 @@ def _render_atoms(prop: Proposition, parent_prec: int) -> Iterator[str]:
     # A lone term is a conjunction of size literals, and several terms need
     # two names; & binds tighter than |, so disjoined terms need no parentheses.
     lone = prop.mask.bit_count() == 1
-    wrap = parent_prec > _PREC["and" if lone else "or"] and prop.signature.size > 1
+    wrap = floor > _BINARY["and" if lone else "or"][1] and prop.signature.size > 1
     half, low, high = prop.signature._tables()
     bits = (1 << half) - 1
     terms = (low[i & bits] + high[i >> half] for i in prop.atoms())
@@ -346,7 +358,8 @@ def _render_atoms(prop: Proposition, parent_prec: int) -> Iterator[str]:
 # -- parsing ---------------------------------------------------------
 
 _SCAN_RE = re.compile(
-    r"""(?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    r"""[ \t\r\n]+ | \#[^\n]*
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<iff><->)
       | (?P<imp>->)
       | (?P<not>~)
@@ -365,44 +378,42 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     n = len(text)
     while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if ch == "#":
-            nl = text.find("\n", pos)
-            pos = n if nl < 0 else nl + 1
-            continue
         match = _SCAN_RE.match(text, pos)
         if match is None:
-            raise ParseError(f"unexpected character {ch!r}", text, pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
         kind = match.lastgroup
-        value = match.group()
-        if kind == "name" and value in _KEYWORDS:
-            kind = _KEYWORDS[value]
-        tokens.append((kind, value, pos))
+        if kind is not None:  # None: whitespace or a comment
+            value = match.group()
+            if kind == "name" and value in _KEYWORDS:
+                kind = _KEYWORDS[value]
+            tokens.append((kind, value, pos))
         pos = match.end()
     tokens.append(("end", "", n))
     return tokens
 
 
-# Levels of '(', '~' and '->' a proposition may nest. Each '(' costs the
-# parser five frames, so 100 levels take about 500 of Python's default
-# 1000, which leaves the caller room; deeper input is a ParseError at the
-# token that opens the level past the bound, not a RecursionError.
+# Levels of '(', '~' and '->' a proposition may nest. A level costs the
+# parser at most three frames ('a & (' nests binary, unary, binary), so 100
+# levels take about 300 of Python's default 1000, leaving the caller room;
+# deeper input is a ParseError at the token opening the level past the
+# bound, not a RecursionError.
 _MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Precedence climbing over the token list and the _BINARY table.
 
     Grammar, loosest binding first:
         proposition := iff
         iff  := imp ('<->' imp)*
-        imp  := or ('->' imp)?          right-associative
+        imp  := or ('->' imp)?          right-grouping
         or   := and ('|' and)*
         and  := unary ('&' unary)*
         unary := '~' unary | '(' iff ')' | name | 'true' | 'false'
+
+    binary(floor) parses all four binary levels: a unary, then each
+    connective of precedence floor or tighter with its right operand,
+    binary(precedence) for '->', which groups right, else one level up.
 
     't' and 'f' are accepted as aliases of 'true' and 'false', and all
     four spellings are reserved (never names).
@@ -425,17 +436,12 @@ class _Parser:
     def peek(self) -> str:
         return self.tokens[self.at][0]
 
-    def take(self) -> tuple[str, str, int]:
-        token = self.tokens[self.at]
-        self.at += 1
-        return token
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+    def expect(self, kind: str, what: str) -> None:
         if self.peek() != kind:
             _, value, pos = self.tokens[self.at]
             found = repr(value) if value else "end of input"
             raise ParseError(f"expected {what}, found {found}", self.text, pos)
-        return self.take()
+        self.at += 1
 
     def open_level(self, pos: int) -> None:
         self.depth += 1
@@ -447,55 +453,32 @@ class _Parser:
             )
 
     def proposition(self) -> Proposition:
-        prop = self.iff()
+        prop = self.binary(0)
         if self.peek() != "end":
             _, value, pos = self.tokens[self.at]
             raise ParseError(f"unexpected {value!r} after proposition", self.text, pos)
         return prop
 
-    def iff(self) -> Proposition:
-        prop = self.imp()
-        full = self.signature.full_mask
-        while self.peek() == "iff":
-            self.take()
-            right = self.imp()
-            prop = Proposition(
-                self.signature,
-                full ^ prop.mask ^ right.mask,
-                ("iff", prop._tree(), right._tree()),
-            )
-        return prop
-
-    def imp(self) -> Proposition:
-        prop = self.disj()
-        if self.peek() == "imp":
-            self.open_level(self.take()[2])
-            right = self.imp()
-            self.depth -= 1
-            full = self.signature.full_mask
-            prop = Proposition(
-                self.signature,
-                (full ^ prop.mask) | right.mask,
-                ("imp", prop._tree(), right._tree()),
-            )
-        return prop
-
-    def disj(self) -> Proposition:
-        prop = self.conj()
-        while self.peek() == "or":
-            self.take()
-            prop = prop | self.conj()
-        return prop
-
-    def conj(self) -> Proposition:
+    def binary(self, floor: int) -> Proposition:
+        """The longest proposition here whose top-level connectives have
+        precedence floor or tighter."""
         prop = self.unary()
-        while self.peek() == "and":
-            self.take()
-            prop = prop & self.unary()
+        kind, _, pos = self.tokens[self.at]
+        while kind in _BINARY and _BINARY[kind][1] >= floor:
+            _, prec, right, _ = _BINARY[kind]
+            self.at += 1
+            if right:
+                self.open_level(pos)
+                prop = _connect(kind, prop, self.binary(prec))
+                self.depth -= 1
+            else:
+                prop = _connect(kind, prop, self.binary(prec + 1))
+            kind, _, pos = self.tokens[self.at]
         return prop
 
     def unary(self) -> Proposition:
-        kind, value, pos = self.take()
+        kind, value, pos = self.tokens[self.at]
+        self.at += 1
         if kind == "not":
             self.open_level(pos)
             prop = ~self.unary()
@@ -503,7 +486,7 @@ class _Parser:
             return prop
         if kind == "lp":
             self.open_level(pos)
-            prop = self.iff()
+            prop = self.binary(0)
             self.expect("rp", "')'")
             self.depth -= 1
             return prop

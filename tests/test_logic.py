@@ -12,6 +12,31 @@ AB = tg.Signature(("a", "b"))
 ABC = tg.Signature(("a", "b", "c"))
 
 
+def random_display_tree(rng, signature, depth):
+    """A random proposition whose display tree mixes names, constants,
+    mask-built leaves and all five connectives; the mask of each '->' and
+    '<->' node comes from its truth table, not from the parser."""
+    full = signature.full_mask
+    choice = int(rng.integers(0, 8 if depth else 3))
+    if choice == 0:
+        return tg.Proposition.name(signature, str(rng.choice(signature.names)))
+    if choice == 1:
+        return tg.parse(str(rng.choice(["t", "f"])), signature)
+    if choice == 2:
+        return random_proposition(rng, signature)
+    if choice == 3:
+        return ~random_display_tree(rng, signature, depth - 1)
+    p = random_display_tree(rng, signature, depth - 1)
+    q = random_display_tree(rng, signature, depth - 1)
+    if choice == 4:
+        return p & q
+    if choice == 5:
+        return p | q
+    if choice == 6:
+        return tg.Proposition(signature, (full ^ p.mask) | q.mask, ("imp", p._tree(), q._tree()))
+    return tg.Proposition(signature, full ^ p.mask ^ q.mask, ("iff", p._tree(), q._tree()))
+
+
 class TestSignature:
     def test_basic_properties(self):
         assert AB.size == 2
@@ -295,6 +320,14 @@ class TestParser:
         for text in ("a -> b -> c", "~(a <-> b) | ~c", "t & ~f"):
             p = tg.parse(text, ABC)
             assert tg.parse(p.text(), ABC).equivalent(p)
+        # '->' does not associate: its left operand keeps its parentheses.
+        for text in ("(a -> b) -> c", "((a -> b) -> c) -> a", "(a -> b) <-> c"):
+            p = tg.parse(text, ABC)
+            assert tg.parse(p.text(), ABC).equivalent(p), p.text()
+        assert tg.parse("((a -> b) -> c) -> a", ABC).text() == "((a -> b) -> c) -> a"
+        for _ in range(1000):
+            p = random_display_tree(rng, ABC, 5)
+            assert tg.parse(p.text(), ABC).mask == p.mask, p.text()
 
     def test_unknown_name(self):
         with pytest.raises(tg.UnknownNameError) as info:
@@ -324,6 +357,7 @@ class TestParser:
             ("~" * 100 + "a", "a"),
             ("(" * 50 + "~" * 50 + "a" + ")" * 50, "a"),
             (" -> ".join(["b"] * 100 + ["a"]), "~b | a"),
+            ("a & (" * 100 + "a" + ")" * 100, "a"),
         ):
             assert tg.parse(text, AB).equivalent(tg.parse(same, AB)), text
         for text, column in (
@@ -331,6 +365,7 @@ class TestParser:
             ("~" * 1000 + "a", 101),
             ("b & " + "(" * 50 + "~" * 51 + "a" + ")" * 50, 105),
             (" -> ".join(["a"] * 1000), 503),
+            ("a & (" * 101 + "a" + ")" * 101, 505),
         ):
             with pytest.raises(tg.ParseError, match="nesting deeper than 100") as info:
                 tg.parse(text, AB)

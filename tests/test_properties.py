@@ -15,24 +15,35 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
+def texts(names):
+    """Proposition texts over names and the constants that use every
+    connective, with parenthesized and negated pairs among the operands."""
+    leaves = st.sampled_from(names + ("t", "f"))
+    ops = st.sampled_from(("&", "|", "->", "<->"))
+    pairs = st.tuples(st.sampled_from(("", "~")), leaves, ops, leaves).map(
+        lambda t: f"{t[0]}({t[1]} {t[2]} {t[3]})"
+    )
+    operands = st.one_of(leaves, leaves.map("~{}".format), pairs)
+    return st.tuples(operands, st.lists(st.tuples(ops, operands), max_size=3)).map(
+        lambda t: t[0] + "".join(f" {op} {operand}" for op, operand in t[1])
+    )
+
+
 @st.composite
 def knowledge_bases(draw, max_names=4, allow_infinite=True):
+    """Rules whose sides are mask propositions or parsed texts."""
     r = draw(st.integers(1, max_names))
     signature = tg.Signature(NAMES[:r])
-    masks = st.integers(0, signature.full_mask)
+    sides = st.one_of(
+        st.integers(0, signature.full_mask).map(lambda mask: tg.Proposition(signature, mask)),
+        texts(signature.names).map(lambda text: tg.parse(text, signature)),
+    )
     thresholds = st.integers(1, 3)
     if allow_infinite:
         thresholds = st.one_of(thresholds, st.just(tg.INFINITY))
     rules = draw(
-        st.lists(st.tuples(masks, masks, thresholds), max_size=4).map(
-            lambda triples: tuple(
-                tg.Generalization(
-                    tg.Proposition(signature, antecedent),
-                    tg.Proposition(signature, consequent),
-                    threshold,
-                )
-                for antecedent, consequent, threshold in triples
-            )
+        st.lists(st.tuples(sides, sides, thresholds), max_size=4).map(
+            lambda triples: tuple(tg.Generalization(*triple) for triple in triples)
         )
     )
     return tg.KnowledgeBase(signature, rules)
@@ -44,10 +55,12 @@ PROPERTY = hypothesis.settings(max_examples=200, deadline=None, derandomize=True
 @PROPERTY
 @hypothesis.given(knowledge_bases())
 def test_format_load_format_round_trips(kb):
-    text = tg.format_kb(kb)
-    loaded = tg.load_kb(text, extra_names=kb.signature.names)
+    # A file's signature lists its names by first appearance, so a first
+    # rule naming each name in order gives the file kb's signature.
+    text = " & ".join(kb.signature.names) + " => true @ 1\n" + tg.format_kb(kb)
+    loaded = tg.load_kb(text)
     assert loaded.signature == kb.signature
-    assert [(r.antecedent, r.consequent, r.threshold) for r in loaded.rules] == [
+    assert [(r.antecedent, r.consequent, r.threshold) for r in loaded.rules[1:]] == [
         (r.antecedent, r.consequent, r.threshold) for r in kb.rules
     ]
     assert tg.format_kb(loaded) == text

@@ -155,6 +155,12 @@ class TestFormats:
         assert text == "true => a @ 1\n~a => b @ 1\na & b => a | b @ inf\n"
         assert tg.load_kb(text) == kb
 
+    def test_kb_round_trip_keeps_conditional_left_operand(self):
+        kb = tg.load_kb("(a -> b) -> c => d @ 1\n")
+        text = tg.format_kb(kb)
+        assert text == "(a -> b) -> c => d @ 1\n"
+        assert tg.load_kb(text) == kb
+
     def test_defaults_round_trip(self):
         rules, signature = tg.load_defaults("t -> a @ 0\n(a -> b) -> g @ 3\n")
         text = tg.format_defaults(rules)

@@ -61,6 +61,13 @@ class TestTranslation:
             kb = random_kb(rng)
             assert tg.from_zplus(tg.to_zplus(kb), kb.signature) == kb
 
+    def test_round_trip_through_text_keeps_conditional_left_operand(self):
+        kb = tg.load_kb("(a -> b) -> c => d @ 1\n")
+        text = tg.format_defaults(tg.to_zplus(kb))
+        assert text == "((a -> b) -> c) -> d @ 0\n"
+        defaults, signature = tg.load_defaults(text)
+        assert tg.from_zplus(defaults, signature) == kb
+
     def test_infinite_threshold_names_the_rule(self):
         kb = tg.KnowledgeBase(
             AB, (rule(AB, "a", "b", 1), rule(AB, "b", "a", tg.INFINITY))
