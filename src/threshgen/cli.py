@@ -187,21 +187,11 @@ def cmd_zplus(args):
     return 0, [format_kb(from_zplus(rules, signature))]
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _floats(text: str, what: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"malformed delta grid {text!r}") from None
-
-
-def _parse_psi(text: str, rule_count: int) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed psi list {text!r}") from None
-    if len(values) == 1:
-        return values * rule_count
-    return values
+        raise ValueError(f"malformed {what} {text!r}") from None
 
 
 def cmd_validate(args):
@@ -219,11 +209,10 @@ def cmd_validate(args):
     text = _read(args.kb)
     kb = load_kb(text, extra_names=query_names(args.query))
     query = parse_query(args.query, kb.signature)
-    grid = _parse_grid(args.delta_grid)
+    grid = _floats(args.delta_grid, "delta grid")
+    psi = _floats(args.psi, "psi list")
     params = ParameterAssignment(
-        psi=_parse_psi(args.psi, kb.size),
-        delta=grid[0],
-        eta=args.eta,
+        psi=psi * kb.size if len(psi) == 1 else psi, delta=grid[0], eta=args.eta
     )
     try:
         report = scaling_verdict(

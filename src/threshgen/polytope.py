@@ -9,16 +9,17 @@ exceptional mass is small relative to the antecedent mass:
 
 where pi(phi) sums the coordinates of phi's atoms, psi_i is a positive
 slack and 0 < delta < 1 is the common exception scale. Every such row is
-linear and homogeneous in the model vector, row @ x <= 0, and an @ inf
-rule's row is an equality, pi(alpha & ~beta) = 0, since delta**inf = 0.
-So a knowledge base plus a parameter assignment yields a convex polytope:
-the simplex (x >= 0, sum(x) = 1) cut by homogeneous rule rows. Models
-where the antecedent has probability 0 satisfy the row trivially, which
-matches reading the conditional probability as 1 there.
+linear and homogeneous in the model vector, row @ x <= 0. An @ inf rule
+has the same row with delta**inf = 0, pi(alpha & ~beta) <= 0, which on
+x >= 0 forces its exception mass to 0. So a knowledge base plus a
+parameter assignment yields a convex polytope: the simplex (x >= 0,
+sum(x) = 1) cut by one homogeneous row per rule. Models where the
+antecedent has probability 0 satisfy the row trivially, which matches
+reading the conditional probability as 1 there.
 
 The module also owns the one decision of whether the polytope is empty.
-Coordinates pinned to zero (by @ inf rules, or by inequality rows that can
-only be satisfied at zero) are eliminated, and a single Chebyshev-center
+Coordinates pinned to zero (by rows with no negative entry, as an @ inf
+rule's row is) are eliminated, and a single Chebyshev-center
 linear program over the remaining atoms, on the plane where they sum to 1,
 either places the largest inscribed ball or proves the system empty.
 is_feasible asks that question, and threshgen.sampling starts its walk
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import INFINITY, KnowledgeBase
+from .depth import KnowledgeBase
 from .logic import Signature
 
 MAX_MODEL_NAMES = 8
@@ -92,19 +93,17 @@ class ParameterAssignment:
 @dataclass(eq=False)
 class PolytopeSystem:
     """Linear description of the model set of one (kb, parameters) pair:
-    the points x of the simplex with eq_rows @ x == 0 and
-    ineq_rows @ x <= 0.
+    the points x of the simplex with rows @ x <= 0.
 
-    eq_rows holds indicator(exception), one per @ inf rule; ineq_rows
-    holds indicator(exception) - psi*delta**k * indicator(antecedent), one
-    per finite rule; both are in knowledge-base order. The simplex, x >= 0
-    and sum(x) = 1, is implicit here and explicit in every solver call.
+    rows holds indicator(exception) - psi*delta**k * indicator(antecedent),
+    one per rule in knowledge-base order; an @ inf rule's row is its
+    exception's indicator, since delta**inf = 0. The simplex, x >= 0 and
+    sum(x) = 1, is implicit here and explicit in every solver call.
     """
 
     signature: Signature
     dimension: int
-    eq_rows: np.ndarray
-    ineq_rows: np.ndarray
+    rows: np.ndarray
 
 
 def indicator(mask: int, dimension: int) -> np.ndarray:
@@ -113,7 +112,16 @@ def indicator(mask: int, dimension: int) -> np.ndarray:
 
 
 def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSystem:
-    """Assemble the constraint system for kb at the given parameters."""
+    """Assemble the constraint system for kb at the given parameters.
+
+    Atom 0 is ~a and atom 1 is a, so the exception of t => a is ~a:
+
+    >>> from threshgen import load_kb
+    >>> build_polytope(load_kb("t => a @ inf"), ParameterAssignment((1.0,), 0.1)).rows.tolist()
+    [[1.0, 0.0]]
+    >>> build_polytope(load_kb("t => a @ 1"), ParameterAssignment((1.0,), 0.1)).rows.tolist()
+    [[0.9, -0.1]]
+    """
     r = kb.signature.size
     if r > MAX_MODEL_NAMES:
         raise ValueError(
@@ -125,21 +133,15 @@ def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSy
             f"psi has {len(params.psi)} entries for {kb.size} rules"
         )
     dimension = kb.signature.atom_count
-    eq_rows = []
-    ineq_rows = []
-    for rule, psi in zip(kb.rules, params.psi):
-        exception = indicator(rule.exception().mask, dimension)
-        if rule.threshold == INFINITY:
-            eq_rows.append(exception)
-        else:
-            antecedent = indicator(rule.antecedent.mask, dimension)
-            scale = psi * params.delta ** rule.threshold
-            ineq_rows.append(exception - scale * antecedent)
+    rows = [
+        indicator(rule.exception().mask, dimension)
+        - psi * params.delta ** rule.threshold * indicator(rule.antecedent.mask, dimension)
+        for rule, psi in zip(kb.rules, params.psi)
+    ]
     return PolytopeSystem(
         signature=kb.signature,
         dimension=dimension,
-        eq_rows=np.array(eq_rows).reshape(len(eq_rows), dimension),
-        ineq_rows=np.array(ineq_rows).reshape(len(ineq_rows), dimension),
+        rows=np.array(rows).reshape(len(rows), dimension),
     )
 
 
@@ -160,13 +162,13 @@ class _Walkspace:
 
 def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
     """Boolean mask of coordinates forced to zero, closed under the rule
-    that an inequality row with no negative coefficient left pins every
-    coordinate it still touches positively (row @ x <= 0 with x >= 0)."""
-    pinned = (system.eq_rows > 0.0).any(axis=0)
+    that a row with no negative coefficient left pins every coordinate it
+    still touches positively (row @ x <= 0 with x >= 0)."""
+    pinned = np.zeros(system.dimension, dtype=bool)
     changed = True
     while changed:
         changed = False
-        for row in system.ineq_rows:
+        for row in system.rows:
             live = ~pinned
             positive = live & (row > 0.0)
             if positive.any() and not (live & (row < 0.0)).any():
@@ -224,7 +226,7 @@ def _walkspace(system: PolytopeSystem) -> _Walkspace:
         raise InfeasiblePolytopeError(
             "every coordinate is forced to zero, so no model normalizes"
         )
-    kept = system.ineq_rows[:, keep]
+    kept = system.rows[:, keep]
     # A row with no positive kept entry holds at every non-negative point.
     # Every other row also has a negative one, or the pinning closure would
     # have pinned its positive entries, so it cuts the simplex.
@@ -254,15 +256,10 @@ def is_feasible(system: PolytopeSystem) -> bool:
 def max_violation(system: PolytopeSystem, points: np.ndarray) -> float:
     """Largest constraint violation over the given model vectors.
 
-    Checks non-negativity, normalization, equality rows and inequality
-    rows; points is (n, dimension). Used to verify that sampled models
-    actually lie in the polytope.
+    Checks non-negativity, normalization and the rule rows; points is
+    (n, dimension). Used to verify that sampled models actually lie in the
+    polytope.
     """
     points = np.atleast_2d(points)
-    gaps = (
-        -points,
-        np.abs(points.sum(axis=1) - 1.0),
-        np.abs(system.eq_rows @ points.T),
-        system.ineq_rows @ points.T,
-    )
+    gaps = (-points, np.abs(points.sum(axis=1) - 1.0), system.rows @ points.T)
     return max(float(np.max(gap, initial=0.0)) for gap in gaps)

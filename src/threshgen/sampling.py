@@ -551,10 +551,7 @@ def scaling_verdict(
         build_polytope(kb, replace(params, psi=tuple(scale * p for p in params.psi), delta=delta))
         for scale, delta in sweep
     ]
-    arrays = [
-        tuple((array.shape, array.tobytes()) for array in (system.eq_rows, system.ineq_rows))
-        for system in systems
-    ]
+    arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
     key = (n, burn_in, seeds.tobytes(), *arrays)
     global _last_sweep
     if _last_sweep is not None and _last_sweep[0] == key:

@@ -115,24 +115,17 @@ def check_side_conditions(
 ) -> None:
     """Raise SideConditionError unless the equivalence preconditions hold."""
     for i, rule in enumerate(profile.kb.rules):
-        if rule.antecedent.is_false:
+        for side, proposition in (("antecedent", rule.antecedent), ("consequent", rule.consequent)):
+            if proposition.is_false:
+                raise SideConditionError(
+                    "impossible-rule-side",
+                    f"rule {i + 1} ({rule.text()}) has an impossible {side}",
+                )
+    for side, proposition in (("antecedent", gamma), ("consequent", zeta)):
+        if proposition.is_false:
             raise SideConditionError(
-                "impossible-rule-side",
-                f"rule {i + 1} ({rule.text()}) has an impossible antecedent",
+                "impossible-query-side", f"the query {side} is impossible"
             )
-        if rule.consequent.is_false:
-            raise SideConditionError(
-                "impossible-rule-side",
-                f"rule {i + 1} ({rule.text()}) has an impossible consequent",
-            )
-    if gamma.is_false:
-        raise SideConditionError(
-            "impossible-query-side", "the query antecedent is impossible"
-        )
-    if zeta.is_false:
-        raise SideConditionError(
-            "impossible-query-side", "the query consequent is impossible"
-        )
     if not profile.limit.is_false:
         raise SideConditionError(
             "incoherent-rules",

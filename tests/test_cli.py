@@ -449,6 +449,12 @@ class TestValidate:
         )
         assert "delta grid" in capsys.readouterr().err
 
+    def test_malformed_psi(self, kb_file, capsys):
+        assert main(["validate", "--kb", kb_file, "--psi", "1,x", "t => a @ 1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: malformed psi list '1,x'\n"
+
     @pytest.mark.parametrize(
         "flags, message",
         [

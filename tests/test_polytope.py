@@ -7,7 +7,7 @@ import pytest
 
 import threshgen as tg
 from support import random_kb
-from threshgen.polytope import _pinned_coordinates, _Walkspace
+from threshgen.polytope import _pinned_coordinates, _walkspace, _Walkspace
 
 A1 = tg.Signature(("a",))
 AB = tg.Signature(("a", "b"))
@@ -54,13 +54,12 @@ class TestBuildPolytope:
         kb = tg.KnowledgeBase(A1, ())
         system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(), delta=0.1))
         assert system.dimension == 2
-        assert system.eq_rows.shape == (0, 2)
-        assert system.ineq_rows.shape == (0, 2)
+        assert system.rows.shape == (0, 2)
 
     def test_rows_are_the_only_constraints(self):
         # The simplex is implicit, and every rule row is homogeneous.
         fields = [field.name for field in dataclasses.fields(tg.PolytopeSystem)]
-        assert fields == ["signature", "dimension", "eq_rows", "ineq_rows"]
+        assert fields == ["signature", "dimension", "rows"]
         space_fields = [field.name for field in dataclasses.fields(_Walkspace)]
         assert space_fields == ["keep", "rows", "center", "radius"]
 
@@ -69,8 +68,8 @@ class TestBuildPolytope:
         system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0,), delta=0.1))
         # Atom order: index 0 is ~a, index 1 is a. The exception is ~a, so
         # the row says pi(~a) - 0.1 * pi(true) <= 0.
-        assert system.ineq_rows.shape == (1, 2)
-        assert np.allclose(system.ineq_rows[0], [1.0 - 0.1, -0.1])
+        assert system.rows.shape == (1, 2)
+        assert np.allclose(system.rows[0], [1.0 - 0.1, -0.1])
 
     def test_threshold_exponentiates_delta(self):
         kb = tg.KnowledgeBase(AB, (rule(AB, "a", "b", 3),))
@@ -79,13 +78,14 @@ class TestBuildPolytope:
         scale = 2.0 * 0.5**3
         exception = tg.indicator(tg.parse("a & ~b", AB).mask, 4)
         antecedent = tg.indicator(tg.parse("a", AB).mask, 4)
-        assert np.allclose(system.ineq_rows[0], exception - scale * antecedent)
+        assert np.allclose(system.rows[0], exception - scale * antecedent)
 
     def test_infinite_threshold_becomes_equality(self):
+        # delta**inf = 0, so the row is the exception's indicator, and
+        # pi(~a) <= 0 on x >= 0 means pi(~a) = 0.
         kb = tg.KnowledgeBase(A1, (rule(A1, "true", "a", tg.INFINITY),))
         system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0,), delta=0.1))
-        assert system.ineq_rows.shape == (0, 2)
-        assert system.eq_rows.tolist() == [[1.0, 0.0]]
+        assert system.rows.tolist() == [[1.0, 0.0]]
 
     def test_psi_length_mismatch(self):
         kb = tg.KnowledgeBase(A1, (rule(A1, "true", "a", 1),))
@@ -192,7 +192,7 @@ class TestFeasibility:
 
 class TestPinning:
     def test_no_kept_row_has_one_sign(self):
-        # After the pinning closure, a finite rule's row over the kept atoms
+        # After the pinning closure, a rule's row over the kept atoms
         # either has no positive entry, and holds at every non-negative
         # point, or has entries of both signs, and cuts the simplex. No row
         # is left positive and constant on the plane sum(x) = 1.
@@ -203,9 +203,32 @@ class TestPinning:
                 for delta in (0.5, 0.1, 0.0125, 1e-4):
                     params = tg.ParameterAssignment(psi=(psi,) * kb.size, delta=delta)
                     system = tg.build_polytope(kb, params)
-                    kept = system.ineq_rows[:, ~_pinned_coordinates(system)]
+                    kept = system.rows[:, ~_pinned_coordinates(system)]
                     positive = (kept > 0.0).any(axis=1)
                     assert np.all(~positive | (kept < 0.0).any(axis=1))
+
+    def test_infinite_rules_pin_their_exceptions(self):
+        # An @ inf rule's row has no negative entry, so the closure pins its
+        # exception atoms and the walk never moves them off zero.
+        rng = np.random.default_rng(23)
+        walked = 0
+        for _ in range(300):
+            kb = random_kb(rng, max_names=4, max_rules=4, allow_infinite=True)
+            for delta in (0.5, 0.0125):
+                system = tg.build_polytope(kb, tg.ParameterAssignment((1.0,) * kb.size, delta))
+                pinned = _pinned_coordinates(system)
+                width = system.dimension
+                try:
+                    keep = _walkspace(system).keep
+                except tg.InfeasiblePolytopeError:
+                    keep = np.array([], dtype=int)
+                for r in kb.rules:
+                    if r.threshold == tg.INFINITY:
+                        exception = np.flatnonzero(tg.indicator(r.exception().mask, width))
+                        assert pinned[exception].all()
+                        assert not np.isin(exception, keep).any()
+                        walked += keep.size > 0
+        assert walked > 50
 
 
 class TestMaxViolation:
@@ -234,3 +257,12 @@ class TestMaxViolation:
         # Atom 1 is a & ~b, the rule's exception.
         outside = np.array([[0.5, 0.25, 0.2, 0.05], [0.5, 0.0, 0.2, 0.3]])
         assert tg.max_violation(system, outside) == pytest.approx(0.25)
+
+    def test_negative_forbidden_mass_still_violates(self):
+        # Atoms 0 and 2 (~a & ~b and ~a & b) are the exception of
+        # t => a @ inf. Negative mass on both satisfies the rule's row, at
+        # -0.2, and the sum, but not x >= 0: the worst gap is 0.1.
+        kb = tg.KnowledgeBase(AB, (rule(AB, "true", "a", tg.INFINITY),))
+        system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0,), delta=0.1))
+        point = np.array([[-0.1, 0.6, -0.1, 0.6]])
+        assert tg.max_violation(system, point) == pytest.approx(0.1)

@@ -90,19 +90,23 @@ class TestSideConditions:
         with pytest.raises(tg.SideConditionError) as info:
             self.check((rule(AB, "a & ~a", "b", 1),))
         assert info.value.condition == "impossible-rule-side"
+        assert str(info.value) == "rule 1 (a & ~a => b @ 1) has an impossible antecedent"
 
     def test_impossible_rule_consequent(self):
         with pytest.raises(tg.SideConditionError) as info:
             self.check((rule(AB, "a", "b & ~b", 1),))
         assert info.value.condition == "impossible-rule-side"
+        assert str(info.value) == "rule 1 (a => b & ~b @ 1) has an impossible consequent"
 
     def test_impossible_query_sides(self):
         with pytest.raises(tg.SideConditionError) as info:
             self.check((), gamma_text="false")
         assert info.value.condition == "impossible-query-side"
+        assert str(info.value) == "the query antecedent is impossible"
         with pytest.raises(tg.SideConditionError) as info:
             self.check((), zeta_text="a & ~a")
         assert info.value.condition == "impossible-query-side"
+        assert str(info.value) == "the query consequent is impossible"
 
     def test_incoherent_rules(self):
         with pytest.raises(tg.SideConditionError) as info:
