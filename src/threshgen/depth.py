@@ -72,14 +72,15 @@ class StabilizationError(RuntimeError):
 class Record:
     """Base of the immutable value records, with frozen-dataclass behaviour.
 
-    A subclass declares its fields as class annotations, in order, and
-    writes its own __init__, which validates and then stores each field
-    with object.__setattr__. The base compares and hashes by class and
-    field values, gives the dataclass repr and refuses assignment and
-    deletion. Pickle and copy restore the instance __dict__ directly.
-    The dataclasses module would do the same, but importing it (and
-    inspect with it) costs a cold symbolic command more than it spends
-    answering.
+    A subclass declares its fields as class annotations, in order. The
+    base stores the field values, given by position or by name, compares
+    and hashes by class and field values, gives the dataclass repr and
+    refuses assignment and deletion. A subclass that validates its
+    fields writes its own __init__, which checks them and ends with
+    super().__init__ of the field values. Pickle and copy restore the
+    instance __dict__ directly. The dataclasses module would do the same,
+    but importing it (and inspect with it) costs a cold symbolic command
+    more than it spends answering.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -87,6 +88,18 @@ class Record:
         cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
         # The field values as one tuple (every record has two or more fields).
         cls._values = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        # Every call inside the package passes each field by position.
+        if named or len(values) != len(fields):
+            if len(values) > len(fields) or named.keys() != set(fields[len(values):]):
+                raise TypeError(
+                    f"{self.__class__.__qualname__} takes the fields {', '.join(fields)},"
+                    f" each once; got {len(values)} by position and {sorted(named)} by name"
+                )
+            values += tuple(named[name] for name in fields[len(values):])
+        self.__dict__.update(zip(fields, values))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -123,9 +136,7 @@ class Generalization(Record):
             raise ValueError(
                 f"threshold must be an integer >= 1 or infinity, got {threshold!r}"
             )
-        object.__setattr__(self, "antecedent", antecedent)
-        object.__setattr__(self, "consequent", consequent)
-        object.__setattr__(self, "threshold", threshold)
+        super().__init__(antecedent, consequent, threshold)
 
     @property
     def signature(self) -> Signature:
@@ -160,8 +171,7 @@ class KnowledgeBase(Record):
         for rule in rules:
             if rule.signature != signature:
                 raise SignatureError("rule signature differs from knowledge base")
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "rules", rules)
+        super().__init__(signature, rules)
 
     @property
     def size(self) -> int:
@@ -190,20 +200,6 @@ class DepthProfile(Record):
     fired: tuple[tuple[int, ...], ...]
     fixpoint: int
     window: int
-
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        chain: tuple[Proposition, ...],
-        fired: tuple[tuple[int, ...], ...],
-        fixpoint: int,
-        window: int,
-    ):
-        object.__setattr__(self, "kb", kb)
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "fired", fired)
-        object.__setattr__(self, "fixpoint", fixpoint)
-        object.__setattr__(self, "window", window)
 
     @property
     def limit(self) -> Proposition:
@@ -330,9 +326,5 @@ def compile_kb(kb: KnowledgeBase) -> DepthProfile:
         candidate = d - window
         if candidate >= 0 and chain[candidate].entails(chain[d]):
             return DepthProfile(
-                kb=kb,
-                chain=tuple(chain[: candidate + 1]),
-                fired=tuple(fired[: candidate + 1]),
-                fixpoint=candidate,
-                window=window,
+                kb, tuple(chain[: candidate + 1]), tuple(fired[: candidate + 1]), candidate, window
             )

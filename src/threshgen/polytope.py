@@ -108,7 +108,8 @@ class PolytopeSystem:
 
 def indicator(mask: int, dimension: int) -> np.ndarray:
     """Dense 0/1 coordinate vector of an atom-set mask."""
-    return np.array([(mask >> i) & 1 for i in range(dimension)], dtype=float)
+    data = np.frombuffer(mask.to_bytes((dimension + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(data, count=dimension, bitorder="little").astype(float)
 
 
 def build_polytope(kb: KnowledgeBase, params: ParameterAssignment) -> PolytopeSystem:
@@ -164,17 +165,16 @@ def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
     """Boolean mask of coordinates forced to zero, closed under the rule
     that a row with no negative coefficient left pins every coordinate it
     still touches positively (row @ x <= 0 with x >= 0)."""
+    positive, negative = system.rows > 0.0, system.rows < 0.0
     pinned = np.zeros(system.dimension, dtype=bool)
-    changed = True
-    while changed:
-        changed = False
-        for row in system.rows:
-            live = ~pinned
-            positive = live & (row > 0.0)
-            if positive.any() and not (live & (row < 0.0)).any():
-                pinned |= positive
-                changed = True
-    return pinned
+    while True:
+        live = ~pinned
+        # Each round applies every row at once; the closure is monotone, so
+        # the rounds reach the fixpoint that pinning row by row reaches.
+        new = (positive[~(negative & live).any(axis=1)] & live).any(axis=0)
+        if not new.any():
+            return pinned
+        pinned |= new
 
 
 def _chebyshev_center(rows: np.ndarray) -> tuple[np.ndarray, float]:

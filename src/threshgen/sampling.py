@@ -17,54 +17,36 @@ single (center) point is returned n times, flagged degenerate; width-zero
 polytopes with extent in some direction would collapse the same way, but
 only arise from exact parameter coincidences.
 
-The walk draws its normals and uniforms in whole chunks of 512 steps,
-so the randomness feeding each step depends on the seed alone: a chain is
-reproducible bit-for-bit for a fixed seed, and a longer run extends a
-shorter one exactly. The next chunk is drawn on one helper thread while
-the current one walks, since NumPy releases the interpreter lock while it
-fills the buffers. Each chain's generator is used by one thread at a time
-and draws the same values in the same order as on the calling thread, so
-each stream, and every point, is unchanged.
-
-One walk kernel runs K chains in lockstep as (K, q) arrays, each chain in
-its own polytope and with its own random stream, and hands its visited
-points back one chunk at a time. Past one projection per chain and
-chunk, a step is a few NumPy calls over the whole group and one Python
-list of its K step lengths, so the per-call cost is paid per step, not
-per chain. _lockstep gives each chain its rule rows
-followed by the non-negativity rows, -I, all with right-hand side 0; only
-the rule rows are multiplied by the directions, since the -I rows meet a
-direction d at -d, and their slack is the walk's point, so the visited
-points are read from the slack as the walk goes. sample_uniform is the
-K = 1 case and scatters the chunks into its (n, dimension) points.
 Polytopes become quantiles in three steps, for conclusion_quantile (one
 polytope) and scaling_verdict (a grid of them) alike: _groups plans which
-polytopes walk together, consecutive ones of the same shape and at most
-1024 coordinates per group, which pays NumPy's per-call cost once per
-step for the group instead of once per chain; _walks walks each group;
-and _quantiles turns each walked chunk into exception rates at once, so
-a group holds (K, n) rates and no points. Every chain does exactly the
-arithmetic it would do alone, so its points, and hence every quantile and
-verdict, are bit-identical to sampling that grid point by itself.
+polytopes walk together, _walks walks each group in lockstep, and
+_quantiles turns each walked chunk into exception rates at once, so a
+group holds (K, n) rates and no points. A lockstep step is a few NumPy
+calls over the whole group, so NumPy's per-call cost is paid once per
+step for the group instead of once per chain. Every chain does exactly
+the arithmetic it would do alone, so its points, and hence every
+quantile and verdict, are bit-identical to sampling that grid point by
+itself; sample_uniform is the one-chain case.
 
 A verdict's sample depends on its sweep, not on its query, so
 scaling_verdict keeps the last sweep it walked, in one module-level entry,
 and replays it for the next call that asks for the same sweep: one more
-query on the same knowledge base, grid, psi, n, burn-in and seed solves no
-LP and takes no walk. The entry's key is the exact input of the walk: the
-shape and bytes of every grid point's polytope arrays, the derived seeds,
-n and burn_in. It is neither the kb object, so a reloaded knowledge base
-hits, nor eta or the query. The entry holds the grid points' walk spaces
-and, for each lockstep group, its indices and its visited points chunk by
-chunk; a replay hands those recorded walks to _quantiles, which reads
-them as it reads a walk, so every quantile is bit-identical. A sweep is
-recorded only when len(sweep) * n * atom_count * 8 bytes, a bound on its
-points known before any LP, is at most 4 MiB; larger sweeps stream and
-record nothing. A miss drops the old entry and builds every grid point's
-walk space before any walk, one per distinct polytope (the same arrays
-are the same LP), so an empty grid point raises before any walk; the new
-entry is published only once the whole sweep has walked, so a sweep that
-raises leaves no entry.
+query on the same knowledge base, grid, psi, n, burn-in and seed builds no
+polytope, solves no LP and takes no walk. The entry's key is those
+inputs, (kb, psi, grid, n, burn_in, seed), which fix every polytope and
+seed of the sweep; it holds neither eta nor the query. The kb compares
+by value, so a reloaded knowledge base hits. The entry holds the grid
+points' walk spaces and, for each lockstep group, its indices and its
+visited points chunk by chunk; a replay hands those recorded walks to
+_quantiles, which reads them as it reads a walk, so every quantile is
+bit-identical. A sweep is recorded only when len(sweep) * n * atom_count
+* 8 bytes, a bound on its points known before any LP, is at most 4 MiB;
+larger sweeps stream and record nothing. A miss drops the old entry and
+builds every grid point's polytope, then its walk space, one per
+distinct polytope (the same arrays are the same LP), before any walk, so
+an empty grid point raises before any walk; the new entry is published
+only once the whole sweep has walked, so a sweep that raises leaves no
+entry.
 """
 
 from __future__ import annotations
@@ -73,7 +55,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,7 +81,7 @@ SUPPORT_MARGIN = 0.3
 REFUTE_MARGIN = 0.7
 
 # Steps drawn at once from each chain's generator and projected onto the
-# rule rows in one matmul per chain; 512 keeps the chunk's normals near
+# rule rows in one stacked product; 512 keeps the chunk's normals near
 # 1 MB per 256 walked coordinates.
 _CHUNK = 512
 # Steps whose chords are cut at once: the (64, K, m) projections on every
@@ -136,8 +118,8 @@ class UniformSample:
 
 
 def _walk(
-    rows: Sequence[np.ndarray],
-    rhs: Sequence[np.ndarray],
+    rows: np.ndarray,
+    rhs: np.ndarray,
     y: np.ndarray,
     normals: np.ndarray,
     uniforms: np.ndarray,
@@ -146,9 +128,9 @@ def _walk(
     """Run K hit-and-run chains in lockstep through one chunk of steps,
     uniforms.shape[1] steps each.
 
-    Chain k walks from y[k] inside rows[k] @ y <= rhs[k], each rows[k]
-    of the same shape (m, q): step s moves along normals[k, s], the chord
-    through the current point is cut by every constraint row, and
+    Chain k walks from y[k] inside rows[k] @ y <= rhs[k], where rows is
+    (K, m, q) and rhs is (K, m): step s moves along normals[k, s], the
+    chord through the current point is cut by every constraint row, and
     uniforms[k, s] picks the next point on it.
     A uniform point of a chord does not depend on the direction's length,
     so the normals are used unnormalized. A numerically empty chord
@@ -166,10 +148,11 @@ def _walk(
     Each chain does exactly the floating-point operations it would do
     alone, so K chains in one call give the same points, bit for bit, as
     K calls of one chain. The directions are projected on the rule rows
-    with one matmul per chain over every row of normals, which may hold
-    more rows than steps are taken, so a partial chunk repeats the
-    arithmetic of the start of a full one; BLAS may round a row of a
-    shorter product differently, so the product is never split.
+    with one stacked product per chunk, the same BLAS call per chain,
+    over every row of normals, which may hold more rows than steps are
+    taken, so a partial chunk repeats the arithmetic of the start of a
+    full one; BLAS may round a row of a shorter product differently, so
+    the product is never split.
 
     Everything else treats the K chains as one array. The chord ends are
     masked 64 steps at a time into a side-major (2, 64, K, m) buffer: the
@@ -182,13 +165,12 @@ def _walk(
     before the visited points of that slice are written over it.
     """
     chains, steps = uniforms.shape
-    m = len(rows[0])
+    m = rows.shape[1]
     r = m - y.shape[1]
-    slack = np.array([b - a @ x for a, b, x in zip(rows, rhs, y)])
+    slack = rhs - np.matmul(rows, y[:, :, None])[:, :, 0]
     point = slack[:, r:]
     rule_along = np.empty((chains, normals.shape[1], r))
-    for k in range(chains):
-        np.matmul(normals[k], rows[k][:r].T, out=rule_along[k])
+    np.matmul(normals, rows[:, :r].transpose(0, 2, 1), out=rule_along)
     along = np.empty((_SLICE, chains, m))
     ends = np.empty((2, _SLICE, chains, m))
     ratio = np.empty((2, chains, m))
@@ -268,22 +250,25 @@ def _lockstep(
     starts by putting the chain's point back on that plane.
 
     One helper thread draws chunk c + 1 while chunk c walks, into the
-    other of two (normals, uniforms) buffer pairs. Each generator is used
-    by one thread at a time, handed over by the future, so its stream and
-    every point are as if drawn on the calling thread. Chunk c + 2 is
+    other of two (normals, uniforms) buffer pairs; NumPy releases the
+    interpreter lock while it fills them. Each generator is used by one
+    thread at a time, handed over by the future, so its stream and every
+    point are as if drawn on the calling thread. Chunk c + 2 is
     submitted only once chunk c + 1 has been asked for, so the helper never
     writes over a visited view that may still be read; the helper ends
     with the walk, or when the generator is closed.
     """
     q = spaces[0].rows.shape[1]
-    # _walk's layout: the rule rows, then -I, all with right-hand side 0.
-    # The kernel takes the -I rows' projections from the directions and
-    # their slack as the point, but they stay in the rows because each
-    # chunk starts from one product over all of them: the rule rows alone
-    # may round their slack differently, which would change every walk.
-    rows = [np.vstack([space.rows, -np.eye(q)]) for space in spaces]
     chains = len(spaces)
-    rhs = np.zeros((chains, len(rows[0])))
+    # _walk's layout, one (K, m, q) array: the rule rows, then -I, all with
+    # right-hand side 0. The kernel takes the -I rows' projections from the
+    # directions and their slack as the point, but they stay in the rows
+    # because each chunk starts from one product over all of them: the
+    # rule rows alone may round their slack differently, which would
+    # change every walk.
+    rows = np.stack([space.rows for space in spaces])
+    rows = np.concatenate([rows, np.broadcast_to(-np.eye(q), (chains, q, q))], axis=1)
+    rhs = np.zeros(rows.shape[:2])
     y = np.stack([space.center for space in spaces])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     buffers = [(np.empty((chains, _CHUNK, q)), np.empty((chains, _CHUNK))) for _ in range(2)]
@@ -531,9 +516,10 @@ def scaling_verdict(
 
     The sample does not depend on the query or eta. A sweep whose points
     take at most 4 MiB (len(PSI_SWEEP) * len(grid) * n * atom_count * 8
-    bytes) is recorded, and the next call whose grid polytopes, derived
-    seeds, n and burn_in are the same replays it, with no LP and no walk,
-    to the same quantiles. Only the last recorded sweep is kept.
+    bytes) is recorded, and the next call with an equal kb and the same
+    params.psi, grid, n, burn_in and seed replays it, building no
+    polytope and taking no LP and no walk, to the same quantiles. Only
+    the last recorded sweep is kept.
     """
     grid = tuple(float(d) for d in delta_grid)
     if len(grid) < 3:
@@ -546,18 +532,18 @@ def scaling_verdict(
     if query.signature != kb.signature:
         raise SignatureError("query signature differs from knowledge base")
     sweep = list(product(PSI_SWEEP, grid))
-    seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
-    systems = [
-        build_polytope(kb, replace(params, psi=tuple(scale * p for p in params.psi), delta=delta))
-        for scale, delta in sweep
-    ]
-    arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
-    key = (n, burn_in, seeds.tobytes(), *arrays)
+    key = (kb, params.psi, grid, n, burn_in, seed)
     global _last_sweep
     if _last_sweep is not None and _last_sweep[0] == key:
         _, spaces, walks = _last_sweep
     else:
         _last_sweep = None
+        seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
+        systems = [
+            build_polytope(kb, replace(params, psi=[scale * p for p in params.psi], delta=delta))
+            for scale, delta in sweep
+        ]
+        arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
         solved: dict[tuple, _Walkspace] = {}
         for (scale, delta), system, system_arrays in zip(sweep, systems, arrays):
             if system_arrays not in solved:

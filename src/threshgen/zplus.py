@@ -63,9 +63,7 @@ class ZPlusRule(Record):
             raise ValueError(
                 f"strength must be a non-negative integer, got {strength!r}"
             )
-        object.__setattr__(self, "antecedent", antecedent)
-        object.__setattr__(self, "consequent", consequent)
-        object.__setattr__(self, "strength", strength)
+        super().__init__(antecedent, consequent, strength)
 
     @property
     def signature(self) -> Signature:

@@ -40,6 +40,12 @@ def read_depth(text):
     return math.inf if text == "inf" else int(text)
 
 
+def test_parse_kv_rejects_a_line_without_equals():
+    assert parse_kv("verdict=true\n\nD=3\n") == {"verdict": "true", "D": "3"}
+    with pytest.raises(ValueError, match="^not a key=value line: 'verdict true'$"):
+        parse_kv("D=3\nverdict true\n")
+
+
 class TestCheck:
     def test_consistent(self, kb_file, capsys):
         assert main(["check", "--kb", kb_file]) == 0
@@ -136,6 +142,16 @@ class TestQuery:
         assert record["verdict"] == "true"
         assert record["vacuous"] == "true"
         assert record["d_exception"] == "inf"
+
+    def test_vacuous_query_text(self, kb_file, capsys):
+        assert main(["query", "--kb", kb_file, "false => a @ 1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "query: false => a @ 1",
+            "entailed",
+            "d_exception = inf",
+            "d_antecedent = inf",
+            "vacuous: the antecedent is impossible",
+        ]
 
     def test_query_names_extend_signature(self, kb_file, capsys):
         assert main(["query", "--kb", kb_file, "c => c @ inf"]) == 0

@@ -55,6 +55,7 @@ class TestGeneralization:
     def test_text(self):
         assert rule(AB, "a", "b", 2).text() == "a => b @ 2"
         assert rule(AB, "a", "b", tg.INFINITY).text() == "a => b @ inf"
+        assert str(rule(AB, "a -> b", "~a", 3)) == "a -> b => ~a @ 3"
 
 
 class TestCompile:

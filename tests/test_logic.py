@@ -97,6 +97,14 @@ class TestSignature:
         assert AB.atom_text(0) == "~a & ~b"
         assert AB.atom_text(0b01) == "a & ~b"
         assert AB.atom_text(0b11) == "a & b"
+        for i in (-1, 4):
+            with pytest.raises(tg.SignatureError, match=f"^atom index {i} out of range$"):
+                AB.atom_text(i)
+
+    def test_index_rejects_an_unknown_name(self):
+        assert AB.index("b") == 1
+        with pytest.raises(tg.SignatureError, match="^unknown name 'c'$"):
+            AB.index("c")
 
     def test_atom_texts_are_the_signature_atom_texts(self):
         # Each atom's text comes from two per-signature tables; it must be
@@ -172,6 +180,15 @@ class TestPropositionAlgebra:
         for i in range(sig.atom_count):
             union = union | tg.Proposition.minterm(sig, i)
         assert union.is_true
+
+    def test_out_of_range_masks_and_minterms(self):
+        for i in (-1, 4):
+            with pytest.raises(ValueError, match=f"^atom index {i} out of range$"):
+                tg.Proposition.minterm(AB, i)
+        for mask, shown in ((-1, "-0x1"), (0b10000, "0x10")):
+            with pytest.raises(ValueError) as raised:
+                tg.Proposition(AB, mask)
+            assert str(raised.value) == f"mask {shown} out of range for Signature(['a', 'b'])"
 
     def test_atoms_iterates_set_bits(self):
         a = tg.Proposition.name(AB, "a")

@@ -197,6 +197,21 @@ def test_records_behave_as_frozen_dataclasses(name):
         assert repr(clone) == text
 
 
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_reject_a_bad_field_list(name):
+    cls = getattr(threshgen, name)
+    fields = RECORDS[name][0]
+    values = list(fields.values())
+    for args, named in (
+        (values[:-1], {}),  # a field missing
+        (values + values[:1], {}),  # an extra positional value
+        (values, {"extra": 1}),  # an unknown keyword
+        (values[:1], fields),  # the first field given twice
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **named)
+
+
 def test_records_of_different_classes_differ():
     rule = threshgen.Generalization(A, A_IMPLIES_B, 1)
     default = threshgen.ZPlusRule(A, A_IMPLIES_B, 1)

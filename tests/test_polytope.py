@@ -48,6 +48,15 @@ class TestIndicator:
         assert tg.indicator(0b0101, 4).tolist() == [1.0, 0.0, 1.0, 0.0]
         assert tg.indicator(0, 4).tolist() == [0.0] * 4
 
+    def test_matches_the_mask_bits_at_every_width(self):
+        rng = np.random.default_rng(3)
+        for dimension in (2**j for j in range(9)):
+            full = (1 << dimension) - 1
+            for mask in (0, full, int.from_bytes(rng.bytes(dimension // 8 + 1), "little") & full):
+                expected = [(mask >> i) & 1 for i in range(dimension)]
+                got = tg.indicator(mask, dimension)
+                assert got.dtype == np.float64 and got.tolist() == expected, (dimension, mask)
+
 
 class TestBuildPolytope:
     def test_empty_kb_is_the_simplex(self):
@@ -190,7 +199,39 @@ class TestFeasibility:
             tg.sample_uniform(system, 50, burn_in=10)
 
 
+def pinned_row_by_row(rows):
+    """The pinning closure one row at a time, as the reference: a row with
+    no live negative entry pins every live coordinate it touches
+    positively, until a pass over every row pins nothing new."""
+    pinned = np.zeros(rows.shape[1], dtype=bool)
+    changed = True
+    while changed:
+        changed = False
+        for row in rows:
+            live = ~pinned
+            positive = live & (row > 0.0)
+            if positive.any() and not (live & (row < 0.0)).any():
+                pinned |= positive
+                changed = True
+    return pinned
+
+
 class TestPinning:
+    def test_rounds_reach_the_row_by_row_fixpoint(self):
+        # Random sign patterns over 8 coordinates, where one row's pins
+        # often free another row of its negative entries.
+        rng = np.random.default_rng(29)
+        cascades = 0
+        for _ in range(2000):
+            shape = (int(rng.integers(0, 7)), 8)
+            rows = rng.choice([-1.0, 0.0, 1.0], p=[0.15, 0.45, 0.4], size=shape)
+            system = tg.PolytopeSystem(tg.Signature(("a", "b", "c")), 8, rows)
+            expected = pinned_row_by_row(rows)
+            assert np.array_equal(_pinned_coordinates(system), expected)
+            direct = (rows > 0.0)[~(rows < 0.0).any(axis=1)].any(axis=0)
+            cascades += expected.sum() > direct.sum()
+        assert cascades > 100
+
     def test_no_kept_row_has_one_sign(self):
         # After the pinning closure, a rule's row over the kept atoms
         # either has no positive entry, and holds at every non-negative

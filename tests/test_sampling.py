@@ -924,6 +924,24 @@ class TestSweepReplay:
             assert walked.exponents == report.exponents
             assert walked.verdict == report.verdict
 
+    def test_a_replay_builds_no_polytope(self, lps, monkeypatch):
+        before = self.verdict(self.QUERIES[0])
+        built = []
+        build = sampling.build_polytope
+
+        def spy(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(sampling, "build_polytope", spy)
+        lps.clear()
+        # A reloaded knowledge base equals the one before, so it replays.
+        replayed = self.verdict(self.QUERIES[0])
+        assert built == [] and lps == []
+        assert replayed == before
+        self.verdict(self.QUERIES[0], seed=6)
+        assert len(built) == len(tg.PSI_SWEEP) * len(self.GRID)
+
     def test_eta_is_not_part_of_the_sweep(self, lps):
         self.verdict(self.QUERIES[0])
         lps.clear()

@@ -29,6 +29,8 @@ class TestZPlusRule:
 
     def test_text(self):
         assert default(AB, "a", "b", 2).text() == "a -> b @ 2"
+        assert str(default(AB, "a -> b", "~a", 1)) == "(a -> b) -> ~a @ 1"
+        assert default(AB, "a", "b", 0).signature == AB
 
     def test_text_parenthesizes_conditional_antecedent(self):
         d = default(AB, "a -> b", "a", 0)
