@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, count, islice
+from itertools import chain, islice
 
 from .depth import INFINITY, DepthProfile, compile_kb, depth_text
 from .logic import _render, parse
@@ -148,14 +148,17 @@ def cmd_rarity(args):
 def cmd_depthmap(args):
     profile = compile_kb(load_kb(_read(args.kb)))
     signature = profile.kb.signature
-    depths = profile.atom_depths()
-    texts = {d: depth_text(d) for d in (*range(profile.fixpoint), INFINITY)}
-    values = map(texts.__getitem__, depths)
+    codes = profile._atom_codes()
+    # Each line ends in its depth's text; code fixpoint is depth infinity.
+    texts = map(depth_text, (*range(profile.fixpoint), INFINITY))
     if args.format == "kv":
+        ends = [f"={text}\n" for text in texts]
         head = _kv([("names", ",".join(signature.names))])
-        lines = map("atom_{}={}\n".format, count(), values)
+        lines = (f"atom_{i}{ends[code]}" for i, code in enumerate(codes))
     else:
-        head, lines = [], map("{}: {}\n".format, signature.atom_texts(), values)
+        ends = [f": {text}\n" for text in texts]
+        atoms = signature.atom_texts()
+        head, lines = [], (f"{atom}{ends[code]}" for atom, code in zip(atoms, codes))
     return 0, chain(head, lines)
 
 
@@ -261,17 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
         " depth queries plus Monte-Carlo model checking.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # The options of every subcommand, declared once.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--kb", required=True, help="knowledge base file")
+    shared.add_argument(
+        "--format",
+        choices=("text", "kv"),
+        default="text",
+        help="output style: human text or machine key=value lines",
+    )
 
     def common(sub, **kwargs):
-        cmd = subparsers.add_parser(sub, **kwargs)
-        cmd.add_argument("--kb", required=True, help="knowledge base file")
-        cmd.add_argument(
-            "--format",
-            choices=("text", "kv"),
-            default="text",
-            help="output style: human text or machine key=value lines",
-        )
-        return cmd
+        return subparsers.add_parser(sub, parents=[shared], **kwargs)
 
     check = common("check", help="consistency and the exception chain")
     check.set_defaults(func=cmd_check)

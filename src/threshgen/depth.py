@@ -23,8 +23,8 @@ compile_kb guarantees the nesting (chain[d + 1] entails chain[d]), and
 three methods rely on it: compile_kb itself, since a rule that stops
 firing never fires again; DepthProfile.depth_of, which bisects the chain
 because the levels rho entails are a prefix of it; and
-DepthProfile.atom_depths, which gives each atom the level where it
-leaves the chain.
+DepthProfile._atom_codes, behind atom_depths and the depthmap command,
+which gives each atom the level where it leaves the chain.
 
 Queries reduce to a depth gap: the knowledge base supports
 ``gamma => zeta @ j`` exactly when
@@ -43,6 +43,7 @@ infinity, which makes the extended comparisons native Python.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from operator import attrgetter
 
@@ -192,7 +193,7 @@ class DepthProfile(Record):
     chain[fixpoint].
 
     compile_kb guarantees that the chain is nested, chain[d + 1] entailing
-    chain[d]; depth_of and atom_depths rely on it.
+    chain[d]; depth_of and _atom_codes rely on it.
     """
 
     kb: KnowledgeBase
@@ -222,23 +223,49 @@ class DepthProfile(Record):
         return end - 1
 
     def atom_depths(self) -> list[Depth]:
-        """depth_of of every minterm, indexed by atom.
+        """depth_of of every minterm, indexed by atom: _atom_codes with
+        the code fixpoint read as infinity."""
+        depths: list[Depth] = [*range(self.fixpoint), INFINITY]
+        return [depths[code] for code in self._atom_codes()]
 
-        Read off the chain instead of asking depth_of 2**r times. Every
-        atom starts at depth 0, since chain[0] is the true proposition.
-        The chain is nested, so an atom of chain[d] that is not in
-        chain[d + 1] has depth d: each level below the fixpoint sets the
-        atoms it loses, and the atoms of the limit are set to infinity,
-        so each atom is assigned at most once.
+    def _atom_codes(self) -> memoryview:
+        """Each atom's depth as a code, one item per atom: the level
+        d < fixpoint at which the atom leaves the chain, or fixpoint for
+        the atoms of the limit, whose depth is infinity. The items are
+        bytes (format "B") below 255 levels, 16 MiB at the 24-name cap,
+        and else 4-byte "I" items.
+
+        Read off the chain instead of asking depth_of 2**r times, and
+        without a step per atom. The chain is nested, so the atoms that
+        leave it at level d are chain[d] ^ chain[d + 1] (the limit at the
+        fixpoint), and each atom leaves once. Those atoms join plane p,
+        the mask of the atoms whose code has bit p set, for each set bit
+        p of d. A plane shifted down k bits and masked to bit 0 of every
+        byte holds, in byte m, that bit of the code of atom 8m + k; eight
+        planes shifted into place make one byte of the codes of atoms k,
+        k + 8, k + 16, ..., which is stored with a stride of 8 items.
         """
-        depths: list[Depth] = [0] * self.kb.signature.atom_count
-        for d in range(1, self.fixpoint):
-            lost = Proposition(self.kb.signature, self.chain[d].mask ^ self.chain[d + 1].mask)
-            for i in lost.atoms():
-                depths[i] = d
-        for i in self.limit.atoms():
-            depths[i] = INFINITY
-        return depths
+        fixpoint = self.fixpoint
+        planes = [0] * fixpoint.bit_length()
+        for d in range(1, fixpoint + 1):
+            leaving = self.chain[d].mask ^ (self.chain[d + 1].mask if d < fixpoint else 0)
+            for p in range(d.bit_length()):
+                if d >> p & 1:
+                    planes[p] |= leaving
+        count = self.kb.signature.atom_count
+        blocks = max(count >> 3, 1)  # bytes per plane, padded to 8 atoms
+        width = 1 if fixpoint < 255 else 4
+        codes = bytearray(8 * blocks * width)
+        ones = int.from_bytes(b"\x01" * blocks, "little")
+        for k in range(8):
+            for lane in range(width):
+                code_byte = 0
+                for p, plane in enumerate(planes[8 * lane : 8 * lane + 8]):
+                    code_byte |= (plane >> k & ones) << p
+                at = lane if sys.byteorder == "little" else width - 1 - lane
+                codes[k * width + at :: 8 * width] = code_byte.to_bytes(blocks, "little")
+        del codes[count * width :]  # the padding of fewer than 8 atoms
+        return memoryview(codes).cast("B" if width == 1 else "I")
 
     def degree_of_rarity(self, rho: Proposition) -> Depth:
         """Alias of depth_of: how rare rho is forced to be."""
@@ -273,11 +300,13 @@ class DepthProfile(Record):
         """Largest j with gamma => zeta @ j supported; None when no j >= 1 is.
 
         Infinity means every finite threshold (and @ inf) is supported.
+        The depths are decide's for gamma => zeta @ 1, and like decide it
+        raises SignatureError when gamma and zeta, or they and the
+        knowledge base, have different signatures.
         """
-        entailed, d_exception, d_antecedent = self.decide(
-            Generalization(gamma, zeta, 1)
-        )
-        if not entailed:
+        d_exception = self.depth_of(gamma & ~zeta)
+        d_antecedent = self.depth_of(gamma)
+        if d_exception < d_antecedent + 1:
             return None
         if d_exception == INFINITY:
             return INFINITY

@@ -17,9 +17,9 @@ written as it goes.
 The signature is deliberately capped at 24 names: masks are arbitrary
 precision integers and 2**24 bits (2 MiB per proposition) is where exact
 set semantics stops being a sensible default. Mask work stays linear in
-the mask width, O(2**r) per mask: a name mask is built by doubling one
-period, the all-atoms mask is computed once per signature, and atom
-enumeration walks the mask's bytes once.
+the mask width, O(2**r) per mask: a name mask is one shift and one xor
+of the next name's mask, the all-atoms mask is computed once per
+signature, and atom enumeration walks the mask's bytes once.
 """
 
 from __future__ import annotations
@@ -110,21 +110,21 @@ class Signature:
     def name_mask(self, j: int) -> int:
         """Mask of the atoms that assign True to name j.
 
-        Bit i is set iff bit j of i is set, i.e. blocks of 2**j set bits
-        alternating with 2**j clear bits. Built once per name on demand by
-        doubling one period until it spans all 2**r atoms, which costs
-        O(2**r) bit operations in total.
+        Bit i is set iff bit j of i is set, i.e. blocks of 2**j clear bits
+        alternating with 2**j set bits. Built once per name on demand, from
+        the mask of name j + 1 (the full mask for the last name) in one
+        shift and one xor: in each 2**(j + 2)-bit period of that mask the
+        set upper half, xored with itself shifted down 2**j bits, leaves
+        the second and fourth quarters set, which is name j's pattern.
+        Each mask costs O(2**r), and asking for name j builds the masks of
+        the names above it.
         """
         mask = self._name_masks.get(j)
         if mask is None:
             if not 0 <= j < len(self.names):
                 raise SignatureError(f"name index {j} out of range")
-            half = 1 << j
-            mask = ((1 << half) - 1) << half
-            width = half << 1
-            while width < self.atom_count:
-                mask |= mask << width
-                width <<= 1
+            upper = self.name_mask(j + 1) if j + 1 < len(self.names) else self.full_mask
+            mask = upper ^ (upper >> (1 << j))
             self._name_masks[j] = mask
         return mask
 
@@ -155,7 +155,11 @@ class Signature:
         return self._atom_tables
 
     def __eq__(self, other):
-        return isinstance(other, Signature) and self.names == other.names
+        # Propositions of one signature share its object, so most
+        # comparisons end at the identity test.
+        return self is other or (
+            isinstance(other, Signature) and self.names == other.names
+        )
 
     def __hash__(self):
         return hash(self.names)
@@ -169,7 +173,7 @@ _BYTE_BITS = tuple(tuple(j for j in range(8) if (b >> j) & 1) for b in range(256
 
 
 def _check_same_signature(p: "Proposition", q: "Proposition") -> None:
-    if p.signature != q.signature:
+    if p.signature is not q.signature and p.signature != q.signature:
         raise SignatureError("propositions have different signatures")
 
 

@@ -25,6 +25,19 @@ def child_env(**overrides):
 NAMES = ("a", "b", "c", "d", "e", "g", "h", "i", "j", "k")
 
 
+def doubling_name_mask(r, j):
+    """Name j's mask over r names, built independently of
+    Signature.name_mask: one period of 2**j clear bits and 2**j set bits,
+    doubled until it spans all 2**r atoms."""
+    half = 1 << j
+    mask = ((1 << half) - 1) << half
+    width = half << 1
+    while width < 1 << r:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
 def random_proposition(rng, signature):
     if signature.atom_count <= 32:
         mask = int(rng.integers(0, signature.full_mask + 1, dtype=np.int64))

@@ -10,11 +10,12 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import threshgen as tg
-from support import child_env
-from threshgen.cli import main, parse_kv
+from support import child_env, random_kb
+from threshgen.cli import build_parser, main, parse_kv
 
 TWO_RULE_TEXT = "t => a @ 1\n~a => b @ 1\n"
 # An 18-name chain: t => x0, x0 => x1, ..., x16 => x17, all @ 1.
@@ -38,6 +39,41 @@ def bad_kb_file(tmp_path):
 
 def read_depth(text):
     return math.inf if text == "inf" else int(text)
+
+
+# Every subcommand, with the positional arguments it needs.
+SUBCOMMANDS = {
+    "check": [],
+    "query": ["t => a @ 1"],
+    "rarity": ["a"],
+    "depthmap": [],
+    "explain": [],
+    "zplus": ["to"],
+    "validate": ["t => a @ 1"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_takes_kb_and_format(command, capsys):
+    # --kb is required and --format is text or kv, text when not given.
+    parser = build_parser()
+    rest = SUBCOMMANDS[command]
+    args = parser.parse_args([command, "--kb", "x.rules", *rest])
+    assert (args.command, args.kb, args.format) == (command, "x.rules", "text")
+    for fmt in ("text", "kv"):
+        args = parser.parse_args([command, "--format", fmt, "--kb", "x.rules", *rest])
+        assert (args.kb, args.format) == ("x.rules", fmt)
+    for argv, message in (
+        ([command, *rest], "the following arguments are required: --kb"),
+        ([command, "--kb", "x.rules", "--format", "json", *rest], "argument --format: invalid choice"),
+        ([command, "--kb", "x.rules", "--format", "KV", *rest], "argument --format: invalid choice"),
+    ):
+        with pytest.raises(SystemExit) as exit:
+            parser.parse_args(argv)
+        assert exit.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: threshgen {command} [-h] --kb KB [--format {{text,kv}}]")
+        assert err.splitlines()[-1].startswith(f"threshgen {command}: error: {message}")
 
 
 def test_parse_kv_rejects_a_line_without_equals():
@@ -234,6 +270,34 @@ class TestRarityAndDepthmap:
         record = parse_kv(capsys.readouterr().out)
         assert record.pop("names") == "a"
         assert record == {"atom_0": "inf", "atom_1": "inf"}
+
+    def test_depthmap_lines_are_the_minterm_depths(self, tmp_path, capsys):
+        # Every line of both formats against depth_of of the atom's minterm,
+        # on random KBs of up to 6 names, among them 1- and 2-name ones,
+        # whose fewer than 8 atoms fill only part of a byte.
+        rng = np.random.default_rng(33)
+        path = tmp_path / "kb.rules"
+        sizes = set()
+        for _ in range(60):
+            path.write_text(tg.format_kb(random_kb(rng, max_names=6, allow_infinite=True)))
+            profile = tg.compile_kb(tg.load_kb(path.read_text()))
+            signature = profile.kb.signature
+            sizes.add(signature.size)
+            depths = [
+                tg.depth_text(profile.depth_of(tg.Proposition.minterm(signature, i)))
+                for i in range(signature.atom_count)
+            ]
+            expected = {
+                "text": "".join(
+                    f"{signature.atom_text(i)}: {d}\n" for i, d in enumerate(depths)
+                ),
+                "kv": f"names={','.join(signature.names)}\n"
+                + "".join(f"atom_{i}={d}\n" for i, d in enumerate(depths)),
+            }
+            for fmt, text in expected.items():
+                assert main(["depthmap", "--kb", str(path), "--format", fmt]) == 0
+                assert capsys.readouterr().out == text
+        assert {1, 2} <= sizes and max(sizes) >= 5, sizes
 
     # The sha256 of each whole output on the 18-name chain: 2**18 depthmap
     # lines, or a chain whose members have up to 2**17 atom terms. depthmap

@@ -319,6 +319,25 @@ class TestAtomDepths:
         assert seen_inf
         assert 1 in fixpoints and max(fixpoints) >= 2, fixpoints
 
+    def test_codes_take_one_byte_below_255_levels(self):
+        # t => x0 @ k gives fixpoint k + 1, so k = 253 and k = 254 straddle
+        # the switch from one byte per code to four, and from 2 names on
+        # xr => x0 @ inf puts atoms at code fixpoint (depth infinity). One
+        # and two names pad their codes to 8 atoms.
+        for r in (1, 2, 3, 4):
+            names = [f"x{i}" for i in range(r)]
+            chain = "".join(f"{names[i]} => {names[i + 1]} @ 1\n" for i in range(r - 1))
+            hard = f"{names[-1]} => x0 @ inf\n" if r > 1 else ""
+            for k in (1, 253, 254, 300):
+                profile = tg.compile_kb(tg.load_kb(f"t => x0 @ {k}\n{chain}{hard}"))
+                assert profile.fixpoint == k + 1
+                codes = profile._atom_codes()
+                assert len(codes) == 1 << r
+                assert codes.format == ("B" if k < 254 else "I")
+                assert max(codes) == (k + 1 if hard else k)
+                depths = engine_atom_depths(profile)
+                assert profile.atom_depths() == depths.tolist(), (r, k)
+
     def test_matches_brute_force_search(self):
         rng = np.random.default_rng(30)
         for _ in range(40):
@@ -424,6 +443,23 @@ class TestEntailment:
         a, b = tg.parse("a", AB), tg.parse("b", AB)
         assert profile.max_entailed_threshold(a, a) == tg.INFINITY
         assert profile.max_entailed_threshold(a, b) is None
+
+    def test_max_entailed_threshold_rejects_other_signatures(self):
+        # As when the rule gamma => zeta @ 1 is built and decided: sides of
+        # different signatures, or a signature that is not the KB's, raise.
+        profile = tg.compile_kb(two_rule_chain_kb())
+        a = tg.parse("a", AB)
+        twin = tg.Signature(("a", "b"))
+        assert profile.max_entailed_threshold(tg.parse("~a", twin), tg.parse("b", AB)) == 1
+        for gamma, zeta in (
+            (a, tg.parse("a", AG)),
+            (tg.parse("a", AG), a),
+            (tg.parse("a", AG), tg.parse("b", AG)),
+        ):
+            with pytest.raises(tg.SignatureError):
+                profile.max_entailed_threshold(gamma, zeta)
+            with pytest.raises(tg.SignatureError):
+                profile.decide(tg.Generalization(gamma, zeta, 1))
 
     def test_max_entailed_threshold_agrees_with_queries(self):
         rng = np.random.default_rng(31)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import threshgen as tg
-from support import random_proposition, truth_table_mask
+from support import doubling_name_mask, random_proposition, truth_table_mask
 
 AB = tg.Signature(("a", "b"))
 ABC = tg.Signature(("a", "b", "c"))
@@ -45,7 +45,8 @@ class TestSignature:
         assert ABC.atom_count == 8
 
     def test_name_mask_matches_per_atom_definition(self):
-        for r in range(1, 11):
+        # From r = 0, which has no name to ask for.
+        for r in range(13):
             sig = tg.Signature(tuple(f"x{i}" for i in range(r)))
             for j in range(r):
                 expected = 0
@@ -53,6 +54,16 @@ class TestSignature:
                     if (atom >> j) & 1:
                         expected |= 1 << atom
                 assert sig.name_mask(j) == expected, (r, j)
+            with pytest.raises(tg.SignatureError):
+                sig.name_mask(r)
+        # Too wide to build atom by atom: compare with the doubling
+        # construction, asking for the names in both orders.
+        for r in (20, 24):
+            names = tuple(f"x{i}" for i in range(r))
+            for order in (range(r), reversed(range(r))):
+                sig = tg.Signature(names)
+                for j in order:
+                    assert sig.name_mask(j) == doubling_name_mask(r, j), (r, j)
 
     def test_name_mask_range_check(self):
         for j in (-1, 3):
@@ -266,6 +277,27 @@ class TestPropositionAlgebra:
             a & other
         with pytest.raises(tg.SignatureError):
             a.entails(other)
+
+    def test_equal_signatures_are_interchangeable(self):
+        # Two objects with the same names: equal, hashed alike, and their
+        # propositions combine, compare and entail one another.
+        twin = tg.Signature(("a", "b"))
+        assert twin is not AB
+        assert twin == AB and AB == twin and not twin != AB
+        assert hash(twin) == hash(AB)
+        assert twin != tg.Signature(("b", "a")) and twin != ABC
+        a = tg.Proposition.name(AB, "a")
+        b = tg.Proposition.name(twin, "b")
+        assert (a & b).mask == 0b1000
+        assert (a & b).entails(a) and a.equivalent(tg.parse("a", twin))
+        assert a == tg.parse("a", twin) and hash(a) == hash(tg.parse("a", twin))
+        # Different names still do not mix, in either order.
+        other = tg.Proposition.name(tg.Signature(("a", "c")), "a")
+        for p, q in ((a, other), (other, b)):
+            with pytest.raises(tg.SignatureError):
+                p | q
+            with pytest.raises(tg.SignatureError):
+                p.equivalent(q)
 
     def test_equality_and_hash_follow_meaning(self):
         p1 = tg.parse("a | b", AB)
