@@ -23,7 +23,9 @@ rule's row is) are eliminated, and a single Chebyshev-center
 linear program over the remaining atoms, on the plane where they sum to 1,
 either places the largest inscribed ball or proves the system empty.
 is_feasible asks that question, and threshgen.sampling starts its walk
-from the same center. The LP goes through the module's linprog, which
+from the same center. The elimination and the LP are separate steps,
+_reduce and _solve, so a sweep of polytopes knows the shape of every
+walk before its first LP. The LP goes through the module's linprog, which
 imports SciPy on its first call, so importing this module loads NumPy
 but not SciPy.
 
@@ -217,20 +219,26 @@ def _chebyshev_center(rows: np.ndarray) -> tuple[np.ndarray, float]:
     return result.x[:q], float(result.x[q])
 
 
-def _walkspace(system: PolytopeSystem) -> _Walkspace:
-    """Restrict the system to its kept atoms and find its Chebyshev
-    center, raising InfeasiblePolytopeError when no model satisfies every
-    constraint."""
+def _reduce(system: PolytopeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The system over its kept atoms, before any LP: keep, the atoms
+    that no row pins to zero (empty when every one is pinned), and rows,
+    the rule rows over them that cut the simplex."""
     keep = np.flatnonzero(~_pinned_coordinates(system))
-    if keep.size == 0:
-        raise InfeasiblePolytopeError(
-            "every coordinate is forced to zero, so no model normalizes"
-        )
     kept = system.rows[:, keep]
     # A row with no positive kept entry holds at every non-negative point.
     # Every other row also has a negative one, or the pinning closure would
     # have pinned its positive entries, so it cuts the simplex.
-    rows = kept[(kept > 0.0).any(axis=1)]
+    return keep, kept[(kept > 0.0).any(axis=1)]
+
+
+def _solve(keep: np.ndarray, rows: np.ndarray) -> _Walkspace:
+    """The walk space of a reduced system, with its Chebyshev center,
+    raising InfeasiblePolytopeError when no model satisfies every
+    constraint."""
+    if keep.size == 0:
+        raise InfeasiblePolytopeError(
+            "every coordinate is forced to zero, so no model normalizes"
+        )
     if keep.size == 1:
         # One free coordinate carrying all mass; no row cuts it, so the
         # polytope is that single point.
@@ -238,6 +246,13 @@ def _walkspace(system: PolytopeSystem) -> _Walkspace:
     else:
         center, radius = _chebyshev_center(rows)
     return _Walkspace(keep, rows, center, radius)
+
+
+def _walkspace(system: PolytopeSystem) -> _Walkspace:
+    """Restrict the system to its kept atoms and find its Chebyshev
+    center, raising InfeasiblePolytopeError when no model satisfies every
+    constraint."""
+    return _solve(*_reduce(system))
 
 
 def is_feasible(system: PolytopeSystem) -> bool:

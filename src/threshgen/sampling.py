@@ -19,14 +19,21 @@ only arise from exact parameter coincidences.
 
 Polytopes become quantiles in three steps, for conclusion_quantile (one
 polytope) and scaling_verdict (a grid of them) alike: _groups plans which
-polytopes walk together, _walks walks each group in lockstep, and
-_quantiles turns each walked chunk into exception rates at once, so a
-group holds (K, n) rates and no points. A lockstep step is a few NumPy
-calls over the whole group, so NumPy's per-call cost is paid once per
-step for the group instead of once per chain. Every chain does exactly
-the arithmetic it would do alone, so its points, and hence every
-quantile and verdict, are bit-identical to sampling that grid point by
-itself; sample_uniform is the one-chain case.
+polytopes walk together, from their shapes alone, _DrawAhead.walks walks
+each group in lockstep, and _quantiles turns each walked chunk into
+exception rates at once, so a group holds (K, n) rates and no points. A
+lockstep step is a few NumPy calls over the whole group, so NumPy's
+per-call cost is paid once per step for the group instead of once per
+chain. One helper thread per sweep draws the walk's random numbers one
+chunk ahead, in walk order across groups, so the walk seldom waits for
+them: scaling_verdict plans its groups and starts the helper before its
+LPs, which solve on the calling thread while the first chunk is drawn,
+and each group's first chunk is drawn while the group before it walks
+its last. A point whose LP finds it single-point leaves its planned
+group. Every chain draws from its own generator and does exactly the
+arithmetic it would do alone, so its points, and hence every quantile
+and verdict, are bit-identical to sampling that grid point by itself;
+sample_uniform is the one-chain case.
 
 A verdict's sample depends on its sweep, not on its query, so
 scaling_verdict keeps the last sweep it walked, in one module-level entry,
@@ -66,6 +73,8 @@ from .polytope import (
     ParameterAssignment,
     PolytopeSystem,
     _Walkspace,
+    _reduce,
+    _solve,
     _walkspace,
     build_polytope,
     indicator,
@@ -89,13 +98,14 @@ _CHUNK = 512
 _SLICE = 64
 _DEGENERATE_RADIUS = 1e-12
 # Coordinates walked in lockstep: a group of chains of dimension q holds
-# at most _LOCKSTEP_WIDTH // q of them, so each of its two (K, 512, q)
-# normals buffers (one walking, one being drawn) and its K (m, q)
-# constraint rows (m = q plus the rule rows) stay near 4 MB and 2 MB, and
-# the kernel's projections on the rule rows and its 64-step slices near
-# 2 MB. A group keeps (K, n) exception rates, not its models. All 12
-# chains of an 8-name sweep in one group (a cap of 3072) walked about 10%
-# faster but peaked about 23 MB (24%) higher, so the cap stays at 1024.
+# at most _LOCKSTEP_WIDTH // q of them, so its K (m, q) constraint rows
+# (m = q plus the rule rows) stay near 2 MB, the kernel's projections on
+# the rule rows and its 64-step slices near 2 MB, and each of a sweep's
+# two normals buffers (one walking, one being drawn), sized once for its
+# largest group's (K, 512, q), near 4 MB. A group keeps (K, n) exception
+# rates, not its models. All 12 chains of an 8-name sweep in one group
+# (a cap of 3072) walked about 10% faster but peaked about 23 MB (24%)
+# higher, so the cap stays at 1024.
 _LOCKSTEP_WIDTH = 1024
 # A sweep is recorded for replay when its points, bounded by
 # len(sweep) * n * atom_count * 8 bytes, fit in one lockstep group's
@@ -230,33 +240,23 @@ def _draw(rngs, normals: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _lockstep(
-    spaces: list[_Walkspace], seeds, n: int, burn_in: int
+    spaces: list[_Walkspace], chunks: Iterator, n: int, burn_in: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Walk every space from its Chebyshev center, one chain per space and
-    each with its own seed, in lockstep, and yield the walk one chunk at a
-    time as (stored, visited) after burn_in steps: visited[k] holds chain
-    k's models over its space's kept atoms for the sample indices in the
-    slice stored. The spaces must share rows.shape. visited is a (K, L, q)
-    view of a buffer that the next chunk overwrites, so read it before
-    asking for the next.
+    """Walk every space from its Chebyshev center, one chain per space, in
+    lockstep, and yield the walk one chunk at a time as (stored, visited)
+    after burn_in steps: visited[k] holds chain k's models over its space's
+    kept atoms for the sample indices in the slice stored. The spaces must
+    share rows.shape. visited is a (K, L, q) view of a buffer that the
+    next chunk overwrites, so read it before asking for the next.
 
-    Each chunk, every chain draws its normals and then its uniforms from
-    its own generator, as a lone chain does, so a chain's points do not
-    depend on which other chains walk beside it. A whole chunk is drawn
-    even when fewer steps remain, so the randomness feeding step t
-    depends on the seed alone and a longer run with the same seed extends
-    a shorter one exactly. A normal z steps along z - mean(z), isotropic
-    in the plane sum(x) = 1, so the target stays uniform; each chunk
-    starts by putting the chain's point back on that plane.
-
-    One helper thread draws chunk c + 1 while chunk c walks, into the
-    other of two (normals, uniforms) buffer pairs; NumPy releases the
-    interpreter lock while it fills them. Each generator is used by one
-    thread at a time, handed over by the future, so its stream and every
-    point are as if drawn on the calling thread. Chunk c + 2 is
-    submitted only once chunk c + 1 has been asked for, so the helper never
-    writes over a visited view that may still be read; the helper ends
-    with the walk, or when the generator is closed.
+    chunks gives each chunk's (K, _CHUNK, q) normals and (K, _CHUNK)
+    uniforms, as _draw fills them from the chains' own generators, and
+    one is taken only when its chunk walks. A whole chunk is drawn even
+    when fewer steps remain, so the randomness feeding step t depends on
+    the seed alone and a longer run with the same seed extends a shorter
+    one exactly. A normal z steps along z - mean(z), isotropic in the
+    plane sum(x) = 1, so the target stays uniform; each chunk starts by
+    putting the chain's point back on that plane.
     """
     q = spaces[0].rows.shape[1]
     chains = len(spaces)
@@ -270,23 +270,99 @@ def _lockstep(
     rows = np.concatenate([rows, np.broadcast_to(-np.eye(q), (chains, q, q))], axis=1)
     rhs = np.zeros(rows.shape[:2])
     y = np.stack([space.center for space in spaces])
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    buffers = [(np.empty((chains, _CHUNK, q)), np.empty((chains, _CHUNK))) for _ in range(2)]
     # Step indices count from -burn_in, so the stored ones are those >= 0.
-    starts = range(-burn_in, n, _CHUNK)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        drawn = helper.submit(_draw, rngs, *buffers[0])
-        for chunk, start in enumerate(starts):
+    for start, (normals, uniforms) in zip(range(-burn_in, n, _CHUNK), chunks):
+        y += (1.0 - y.sum(axis=1, keepdims=True)) / q
+        steps = min(_CHUNK, n - start)
+        visited = normals[:, :steps]
+        _walk(rows, rhs, y, normals, uniforms[:, :steps], visited)
+        first = max(-start, 0)
+        if first < steps:
+            yield slice(start + first, start + steps), visited[:, first:]
+
+
+class _DrawAhead:
+    """The random numbers of one sweep's lockstep walks, drawn on one
+    helper thread one chunk ahead of the walk.
+
+    It is made from the lockstep plan and each point's rows.shape, which
+    are known before any LP, and it submits the first planned group's
+    first chunk at once, so a sweep that makes it before its LPs has that
+    chunk drawn while they solve. walks then walks the groups, and each
+    chunk's draw is submitted when the chunk before it in walk order,
+    across group boundaries, starts to walk: a group's first chunk is
+    drawn while the group before it walks its last. The draws alternate
+    between two (normals, uniforms) buffers, sized once for the plan's
+    largest group, and a chunk is submitted only once the one before it
+    has been asked for, so the helper never writes over a visited view
+    that may still be read. NumPy releases the interpreter lock while it
+    fills them.
+
+    Each chain draws from its own generator, used by one thread at a time
+    and handed over by the future, so its stream, and every point, is as
+    if drawn on the calling thread, whatever walks beside it.
+    """
+
+    def __init__(
+        self,
+        helper: ThreadPoolExecutor,
+        plan: list[list[int]],
+        shapes: list[tuple[int, int]],
+        seeds,
+    ):
+        self.helper = helper
+        self.plan = plan
+        self.widths = [shape[1] for shape in shapes]
+        self.rngs = {i: np.random.default_rng(seeds[i]) for group in plan for i in group}
+        size = max((len(group) * self.widths[group[0]] for group in plan), default=0)
+        chains = max(map(len, plan), default=0)
+        self.buffers = [(np.empty(size * _CHUNK), np.empty(chains * _CHUNK)) for _ in range(2)]
+        self.drawn = self._submit(0, plan[0]) if plan else None
+
+    def _submit(self, index: int, group: list[int]):
+        """Draw the chunk at index in walk order, for group, into buffer
+        index % 2."""
+        chains, q = len(group), self.widths[group[0]]
+        normals, uniforms = self.buffers[index % 2]
+        return self.helper.submit(
+            _draw,
+            [self.rngs[i] for i in group],
+            normals[: chains * _CHUNK * q].reshape(chains, _CHUNK, q),
+            uniforms[: chains * _CHUNK].reshape(chains, _CHUNK),
+        )
+
+    def _chunks(self, groups: list[list[int]], count: int) -> Iterator:
+        """The (normals, uniforms) of count chunks of each group, in walk
+        order. groups is the plan less chains that left it after their LP,
+        so the first chunk drawn keeps only the rows of the chains left."""
+        order = [group for group in groups for _ in range(count)]
+        first = self.plan[0] if self.plan else []
+        drawn = self.drawn
+        if drawn is not None and not (order and order[0][0] in first):
+            # No chain of the first planned group walks: its chunk goes unused.
+            drawn.result()
+            drawn = self._submit(0, order[0]) if order else None
+        for index, group in enumerate(order):
             normals, uniforms = drawn.result()
-            if chunk + 1 < len(starts):
-                drawn = helper.submit(_draw, rngs, *buffers[(chunk + 1) % 2])
-            y += (1.0 - y.sum(axis=1, keepdims=True)) / q
-            steps = min(_CHUNK, n - start)
-            visited = normals[:, :steps]
-            _walk(rows, rhs, y, normals, uniforms[:, :steps], visited)
-            first = max(-start, 0)
-            if first < steps:
-                yield slice(start + first, start + steps), visited[:, first:]
+            if index + 1 < len(order):
+                drawn = self._submit(index + 1, order[index + 1])
+            if len(normals) > len(group):
+                kept = np.isin(first, group)
+                normals, uniforms = normals[kept], uniforms[kept]
+            yield normals, uniforms
+
+    def walks(self, spaces: list[_Walkspace], n: int, burn_in: int) -> Iterator:
+        """Each planned group, less its points that their LP found
+        single-point, with its lockstep walk over the solved spaces, as
+        (group, chunks); a group walks only once the one before it has
+        been read."""
+        walked = (
+            [i for i in group if spaces[i].radius > _DEGENERATE_RADIUS] for group in self.plan
+        )
+        groups = [group for group in walked if group]
+        chunks = self._chunks(groups, len(range(-burn_in, n, _CHUNK)))
+        for group in groups:
+            yield group, _lockstep([spaces[i] for i in group], chunks, n, burn_in)
 
 
 def _check_run(n: int, burn_in: int, seed: int) -> None:
@@ -319,8 +395,9 @@ def sample_uniform(
     if space.radius <= _DEGENERATE_RADIUS:
         points[:, space.keep] = space.center
         return UniformSample(points, degenerate=True)
-    for stored, visited in _lockstep([space], [seed], n, burn_in):
-        points[stored, space.keep] = visited[0]
+    for _, chunks in _walks([space], [seed], n, burn_in):
+        for stored, visited in chunks:
+            points[stored, space.keep] = visited[0]
     return UniformSample(points=points, degenerate=False)
 
 
@@ -364,30 +441,32 @@ def empirical_quantile(values: np.ndarray, eta: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
-def _groups(spaces: list[_Walkspace]) -> list[list[int]]:
-    """The lockstep plan: the indices of the spaces that walk together,
-    group by group. A group takes consecutive walked spaces of one
-    rows.shape, up to _LOCKSTEP_WIDTH coordinates; single-point spaces
-    walk in none and do not split one."""
+def _groups(shapes: list[tuple[int, int]]) -> list[list[int]]:
+    """The lockstep plan, from each point's rows.shape alone: the indices
+    of the points that walk together, group by group. A group takes
+    consecutive points of one shape, up to _LOCKSTEP_WIDTH coordinates;
+    points with fewer than two kept atoms walk in none and do not split
+    one."""
     groups: list[list[int]] = []
-    for index, space in enumerate(spaces):
-        if space.radius <= _DEGENERATE_RADIUS:
+    for index, shape in enumerate(shapes):
+        if shape[1] < 2:
             continue
         group = groups[-1] if groups else []
-        width = max(1, _LOCKSTEP_WIDTH // space.rows.shape[1])
-        if group and spaces[group[0]].rows.shape == space.rows.shape and len(group) < width:
+        width = max(1, _LOCKSTEP_WIDTH // shape[1])
+        if group and shapes[group[0]] == shape and len(group) < width:
             group.append(index)
         else:
             groups.append([index])
     return groups
 
 
-def _walks(spaces: list[_Walkspace], seeds: list[int], n: int, burn_in: int) -> Iterator:
-    """Each group of _groups(spaces) with its lockstep walk, one seed per
-    space; a group walks only once the one before it has been read."""
-    for group in _groups(spaces):
-        chains = [spaces[i] for i in group]
-        yield group, _lockstep(chains, [seeds[i] for i in group], n, burn_in)
+def _walks(spaces: list[_Walkspace], seeds, n: int, burn_in: int) -> Iterator:
+    """_DrawAhead.walks of solved spaces, one seed per space, on a helper
+    thread of their own that ends with the walk, or when the generator is
+    closed."""
+    shapes = [space.rows.shape for space in spaces]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield from _DrawAhead(helper, _groups(shapes), shapes, seeds).walks(spaces, n, burn_in)
 
 
 def _read_group(
@@ -410,7 +489,7 @@ def _quantiles(
     """The (1 - eta)-quantile of 1 - pi(zeta|gamma) over each space's
     models, in order. A single-point space gives the rate at its point,
     the quantile of n copies of it. The others are read from walks, the
-    (group, chunks) pairs of _walks or a recording of them."""
+    (group, chunks) pairs of _DrawAhead.walks or a recording of them."""
     weights = _weights(query.antecedent, query.consequent, dimension)
     quantiles = [
         float(_rates(space.center @ weights[space.keep]))
@@ -506,13 +585,18 @@ def scaling_verdict(
     Every grid polytope is solved before any is walked, so it aborts
     before any walk. Grid points whose polytope arrays are identical (a
     polytope depends on the grid only through each psi * delta**k) share
-    one LP; the first empty point in sweep order is the one named. The
-    query must be over the kb's signature.
+    one LP; the first empty point in sweep order is the one named, whether
+    its pinned atoms or its LP find it empty. The query must be over the
+    kb's signature.
 
     Each grid point is sampled with its own seed, drawn from seed, and its
     quantile taken by _quantiles, exactly as conclusion_quantile would
-    take it alone; grouping the walks changes no sample. n, burn_in, seed
-    and the grid are checked before any polytope is built.
+    take it alone; grouping the walks changes no sample. The lockstep
+    groups are planned from each reduced polytope's shape before the LPs,
+    and the sweep's one helper thread draws the first chunk while they
+    solve, one at a time on the calling thread; an empty point ends the
+    helper once its pending draw is done. n, burn_in, seed and the grid
+    are checked before any polytope is built.
 
     The sample does not depend on the query or eta. A sweep whose points
     take at most 4 MiB (len(PSI_SWEEP) * len(grid) * n * atom_count * 8
@@ -534,35 +618,44 @@ def scaling_verdict(
     sweep = list(product(PSI_SWEEP, grid))
     key = (kb, params.psi, grid, n, burn_in, seed)
     global _last_sweep
-    if _last_sweep is not None and _last_sweep[0] == key:
-        _, spaces, walks = _last_sweep
-    else:
-        _last_sweep = None
-        seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
-        systems = [
-            build_polytope(kb, replace(params, psi=[scale * p for p in params.psi], delta=delta))
-            for scale, delta in sweep
-        ]
-        arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
-        solved: dict[tuple, _Walkspace] = {}
-        for (scale, delta), system, system_arrays in zip(sweep, systems, arrays):
-            if system_arrays not in solved:
-                try:
-                    solved[system_arrays] = _walkspace(system)
-                except InfeasiblePolytopeError as err:
-                    raise InfeasiblePolytopeError(
-                        f"polytope is empty at delta={delta} (psi scale {scale});"
-                        " the scaling fit is undefined"
-                    ) from err
-        spaces = [solved[system_arrays] for system_arrays in arrays]
-        walks = _walks(spaces, seeds.tolist(), n, burn_in)
-        if len(sweep) * n * kb.signature.atom_count * 8 <= _REPLAY_BYTES:
-            walks = [
-                (group, [(stored, visited.copy()) for stored, visited in chunks])
-                for group, chunks in walks
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        if _last_sweep is not None and _last_sweep[0] == key:
+            _, spaces, walks = _last_sweep
+        else:
+            _last_sweep = None
+            seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
+            systems = [
+                build_polytope(
+                    kb, replace(params, psi=[scale * p for p in params.psi], delta=delta)
+                )
+                for scale, delta in sweep
             ]
-            _last_sweep = (key, spaces, walks)
-    quantiles = _quantiles(spaces, walks, query, kb.signature.atom_count, n, params.eta)
+            arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
+            reduced = {
+                system_arrays: _reduce(system)
+                for system_arrays, system in dict(zip(arrays, systems)).items()
+            }
+            shapes = [reduced[system_arrays][1].shape for system_arrays in arrays]
+            ahead = _DrawAhead(helper, _groups(shapes), shapes, seeds.tolist())
+            solved: dict[tuple, _Walkspace] = {}
+            for (scale, delta), system_arrays in zip(sweep, arrays):
+                if system_arrays not in solved:
+                    try:
+                        solved[system_arrays] = _solve(*reduced[system_arrays])
+                    except InfeasiblePolytopeError as err:
+                        raise InfeasiblePolytopeError(
+                            f"polytope is empty at delta={delta} (psi scale {scale});"
+                            " the scaling fit is undefined"
+                        ) from err
+            spaces = [solved[system_arrays] for system_arrays in arrays]
+            walks = ahead.walks(spaces, n, burn_in)
+            if len(sweep) * n * kb.signature.atom_count * 8 <= _REPLAY_BYTES:
+                walks = [
+                    (group, [(stored, visited.copy()) for stored, visited in chunks])
+                    for group, chunks in walks
+                ]
+                _last_sweep = (key, spaces, walks)
+        quantiles = _quantiles(spaces, walks, query, kb.signature.atom_count, n, params.eta)
     rows = [tuple(quantiles[i : i + len(grid)]) for i in range(0, len(sweep), len(grid))]
     exponents = [_fit_exponent(np.array(grid), np.array(row)) for row in rows]
     verdicts = {_single_verdict(exponent, query.threshold) for exponent in exponents}

@@ -11,7 +11,7 @@ from scipy.stats import beta
 
 import threshgen as tg
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _CHUNK, _SLICE, _lockstep
+from threshgen.sampling import _CHUNK, _SLICE, _walks
 
 
 def child_env(**overrides):
@@ -181,14 +181,17 @@ def loop_walk(rows, rhs, y, normals, uniforms, out):
 
 
 def lockstep_points(spaces, seeds, n, burn_in):
-    """The (K, n, q) points of _lockstep's chunks, checking on the way
-    that the chunks hand back sample indices 0..n-1 in order."""
+    """The (K, n, q) points of the spaces walked as one lockstep group,
+    checking on the way that the chunks hand back sample indices 0..n-1
+    in order."""
     points = np.empty((len(spaces), n, spaces[0].rows.shape[1]))
     end = 0
-    for stored, visited in _lockstep(spaces, seeds, n, burn_in):
-        assert stored.start == end and visited.shape[:2] == (len(spaces), stored.stop - end)
-        points[:, stored] = visited
-        end = stored.stop
+    for group, chunks in _walks(spaces, seeds, n, burn_in):
+        assert group == list(range(len(spaces)))
+        for stored, visited in chunks:
+            assert stored.start == end and visited.shape[:2] == (len(spaces), stored.stop - end)
+            points[:, stored] = visited
+            end = stored.stop
     assert end == n
     return points
 

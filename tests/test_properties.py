@@ -133,7 +133,8 @@ def test_center_is_a_model(kb, delta):
             return walk(rows, rhs, *args)
 
         with mock.patch.object(sampling, "_walk", spy):
-            next(sampling._lockstep([space], [0], 1, 0))
+            for _, chunks in sampling._walks([space], [0], 1, 0):
+                next(chunks)
         (rows, rhs), q = seen[0], space.keep.size
         assert np.array_equal(rows, np.vstack([space.rows, -np.eye(q)]))
         assert np.array_equal(rhs, np.zeros(len(rows)))

@@ -1,8 +1,10 @@
 """Uniform polytope sampling and the quantile-scaling verdict."""
 
 import math
+import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -49,6 +51,18 @@ def rule_quantile(query, params):
     other_atoms = len(list((query.antecedent & query.consequent).atoms()))
     bound = params.delta**query.threshold
     return truncated_beta_quantile(exception_atoms, other_atoms, bound, params.eta)
+
+
+def wide_grid_case():
+    """A 7-name KB of facts on a 4-delta grid: its 12 points walk in 128
+    coordinates, so at most 8 chains share a group, and they need two."""
+    signature = tg.Signature(("a", "b", "c", "d", "e", "g", "h"))
+    kb = tg.KnowledgeBase(
+        signature, tuple(rule(signature, "true", name, 1) for name in signature.names)
+    )
+    params = tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=0.1)
+    query = rule(signature, "true", "a & b", 1)
+    return kb, query, (0.1, 0.05, 0.025, 0.0125), params
 
 
 def batch_mean_se(values, batches=100):
@@ -356,8 +370,9 @@ class TestSampleUniform:
 
 
 class TestDrawAhead:
-    # _lockstep draws each chunk's randomness on one helper thread while
-    # the chunk before it walks on the calling thread.
+    # _DrawAhead draws each chunk's randomness on one helper thread per
+    # sweep while the chunk before it, or the sweep's LPs, run on the
+    # calling thread.
 
     def test_concurrent_walks_equal_serial_walks(self):
         # More threads than cores, each with its own helper, switching as
@@ -397,8 +412,9 @@ class TestDrawAhead:
     def test_closing_a_walk_ends_its_helper(self):
         space = _walkspace(simple_system()[1])
         before = threading.active_count()
-        walk = sampling._lockstep([space], [3], 5000, 0)
-        next(walk)
+        walk = sampling._walks([space], [3], 5000, 0)
+        _, chunks = next(walk)
+        next(chunks)
         assert threading.active_count() == before + 1
         walk.close()
         assert threading.active_count() == before
@@ -428,6 +444,100 @@ class TestDrawAhead:
         with pytest.raises(RuntimeError, match="draw failed"):
             tg.sample_uniform(system, 2000, burn_in=0, seed=3)
         assert threading.active_count() == before
+
+    def test_first_chunk_is_drawn_while_the_lps_solve(self, monkeypatch):
+        # Every LP waits for a draw to start, so a sweep that submitted its
+        # first draw only after its LPs would wait out the timeout.
+        started = threading.Event()
+        waited = []
+        draw, solve = sampling._draw, polytope.linprog
+
+        def draw_spy(*args):
+            started.set()
+            return draw(*args)
+
+        def lp_spy(*args, **kwargs):
+            waited.append(started.wait(timeout=10))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "_draw", draw_spy)
+        monkeypatch.setattr(polytope, "linprog", lp_spy)
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        kb = two_rule_chain_kb()
+        params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
+        query = rule(AB, "true", "a | b", 2)
+        grid = (0.1, 0.05, 0.025)
+        report = tg.scaling_verdict(kb, query, grid, params, n=700, seed=21, burn_in=100)
+        assert waited and all(waited)
+        expected = per_point_quantiles(kb, query, grid, params, 700, 21, 100)
+        assert np.array_equal(report.quantiles, expected)
+
+    @pytest.mark.parametrize(
+        "text, psi, plan, walked",
+        [
+            # Where psi * delta <= 0.5, a & b and a & ~b each hold at most
+            # half of pi(a), so pi(a) = 0 and the point, on a face, is
+            # found single-point by its LP. Here that is psi x1 and psi
+            # x0.5: the first six points of the one planned group.
+            ("a => b @ 1\na => ~b @ 1\n", (0.45, 0.45), [list(range(9))], [[6, 7, 8]]),
+            # The same six points, which c's row plans as a group of their
+            # own: every chain of the first planned group leaves it.
+            (
+                "a => b @ 1\na => ~b @ 1\nt => c @ 1\n",
+                (0.5, 0.5, 0.9),
+                [list(range(6)), [6, 7, 8]],
+                [[6, 7, 8]],
+            ),
+        ],
+        ids=["some", "all"],
+    )
+    def test_single_point_found_by_its_lp_leaves_its_group(
+        self, monkeypatch, text, psi, plan, walked
+    ):
+        planned, groups = [], []
+        walks = sampling._DrawAhead.walks
+
+        def spy(self, spaces, *args):
+            planned.append(self.plan)
+            for group, chunks in walks(self, spaces, *args):
+                groups.append(group)
+                yield group, chunks
+
+        monkeypatch.setattr(sampling._DrawAhead, "walks", spy)
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        kb = tg.load_kb(text)
+        params = tg.ParameterAssignment(psi=psi, delta=0.9)
+        query = tg.parse_query("t => a & b @ 1", kb.signature)
+        grid = (0.9, 0.7, 0.6)
+        # Burn-in ends in the first chunk and the walk in the second, so
+        # the trimmed first chunk and a chunk drawn after the LPs both walk.
+        report = tg.scaling_verdict(kb, query, grid, params, n=700, seed=22, burn_in=100)
+        assert planned == [plan]
+        assert groups == walked
+        expected = per_point_quantiles(kb, query, grid, params, 700, 22, 100)
+        assert np.array_equal(report.quantiles, expected)
+
+    def test_a_failed_draw_between_groups_reaches_the_caller(self, monkeypatch):
+        # One chunk per group, so the second draw is the second group's
+        # first chunk, drawn while the first group walks.
+        draws = []
+        draw = sampling._draw
+
+        def spy(rngs, normals, uniforms):
+            draws.append(len(rngs))
+            if len(draws) == 2:
+                raise RuntimeError("draw failed")
+            return draw(rngs, normals, uniforms)
+
+        monkeypatch.setattr(sampling, "_draw", spy)
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        kb, query, grid, params = wide_grid_case()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            tg.scaling_verdict(kb, query, grid, params, n=300, seed=23, burn_in=100)
+        assert draws == [8, 4]
+        assert threading.active_count() == before
+        assert sampling._last_sweep is None
 
 
 class TestExceptionRate:
@@ -662,6 +772,52 @@ class TestScalingVerdict:
         with pytest.raises(tg.InfeasiblePolytopeError, match="0.3"):
             tg.scaling_verdict(kb, query, (0.9, 0.7, 0.3), params, n=100, seed=0)
 
+    @pytest.mark.parametrize(
+        "psi, cause, later",
+        [
+            (15.0, "polytope is empty$", (0.5, 0.3, "every coordinate is forced to zero")),
+            (5.0, "every coordinate is forced to zero", (0.5, 0.9, "polytope is empty$")),
+        ],
+        ids=["pinned-after-lp", "lp-after-pinned"],
+    )
+    def test_first_empty_point_is_named_whichever_check_finds_it(
+        self, monkeypatch, psi, cause, later
+    ):
+        # The a rules leave no model where psi scale * delta < 0.5, which
+        # only the LP finds. The b rules pin every atom where psi scale *
+        # psi * delta**2 < 1, found before any LP. Either way the first
+        # empty point of the sweep is psi x1 at delta 0.3, and a point of
+        # the other kind follows it.
+        kb = tg.load_kb("t => a @ 1\nt => ~a @ 1\nt => b @ inf\nt => ~b @ 2\n")
+        params = tg.ParameterAssignment(psi=(1.0, 1.0, 1.0, psi), delta=0.9)
+        query = tg.parse_query("t => a @ 1", kb.signature)
+        grid = (0.9, 0.7, 0.3)
+        scale, delta, message = later
+        point = tg.ParameterAssignment(psi=(scale, scale, scale, scale * psi), delta=delta)
+        with pytest.raises(tg.InfeasiblePolytopeError, match=message):
+            _walkspace(tg.build_polytope(kb, point))
+        started, finished, walked = [], [], []
+        draw = sampling._draw
+
+        def slow_draw(*args):
+            started.append(True)
+            time.sleep(0.2)
+            draw(*args)
+            finished.append(True)
+
+        monkeypatch.setattr(sampling, "_draw", slow_draw)
+        monkeypatch.setattr(sampling, "_walk", lambda *args: walked.append(args))
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        before = threading.active_count()
+        with pytest.raises(
+            tg.InfeasiblePolytopeError, match=r"delta=0.3 \(psi scale 1.0\)"
+        ) as raised:
+            tg.scaling_verdict(kb, query, grid, params, n=300, burn_in=10)
+        assert re.search(cause, str(raised.value.__cause__))
+        assert started and finished == started
+        assert walked == []
+        assert threading.active_count() == before
+
     def test_quantiles_equal_per_point_quantiles(self, lps):
         # Over (0.9, 0.6, 0.3) the psi x2 row drops the first rule's row at
         # 0.9 and 0.6, so the grid mixes reduced shapes. Wherever the second
@@ -742,15 +898,7 @@ class TestScalingVerdict:
         assert not together[0].any() and together[1].all()
 
     def test_wide_grid_splits_into_capped_groups(self, monkeypatch):
-        # 7 names walk in 128 coordinates, so at most 8 chains share a
-        # group and the 12 points of a 4-delta grid need two.
-        signature = tg.Signature(("a", "b", "c", "d", "e", "g", "h"))
-        kb = tg.KnowledgeBase(
-            signature, tuple(rule(signature, "true", name, 1) for name in signature.names)
-        )
-        params = tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=0.1)
-        query = rule(signature, "true", "a & b", 1)
-        grid = self.GRID + (0.0125,)
+        kb, query, grid, params = wide_grid_case()
         groups = []
         lockstep = sampling._lockstep
 
@@ -813,10 +961,10 @@ class TestScalingVerdict:
             assert tg.conclusion_quantile(kb, params, query, 20000) == rate
 
     def test_run_arguments_checked_before_any_lp(self, monkeypatch):
-        def no_lp(system):
+        def no_lp(*args, **kwargs):
             raise AssertionError("an LP ran before the arguments were checked")
 
-        monkeypatch.setattr(sampling, "_walkspace", no_lp)
+        monkeypatch.setattr(polytope, "linprog", no_lp)
         kb = two_rule_chain_kb()
         params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
         query = rule(AB, "true", "a | b", 2)
