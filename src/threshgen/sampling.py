@@ -17,23 +17,24 @@ single (center) point is returned n times, flagged degenerate; width-zero
 polytopes with extent in some direction would collapse the same way, but
 only arise from exact parameter coincidences.
 
-Polytopes become quantiles in three steps, for conclusion_quantile (one
-polytope) and scaling_verdict (a grid of them) alike: _groups plans which
-polytopes walk together, from their shapes alone, _DrawAhead.walks walks
-each group in lockstep, and _quantiles turns each walked chunk into
-exception rates at once, so a group holds (K, n) rates and no points. A
-lockstep step is a few NumPy calls over the whole group, so NumPy's
-per-call cost is paid once per step for the group instead of once per
-chain. One helper thread per sweep draws the walk's random numbers one
-chunk ahead, in walk order across groups, so the walk seldom waits for
-them: scaling_verdict plans its groups and starts the helper before its
-LPs, which solve on the calling thread while the first chunk is drawn,
-and each group's first chunk is drawn while the group before it walks
-its last. A point whose LP finds it single-point leaves its planned
-group. Every chain draws from its own generator and does exactly the
-arithmetic it would do alone, so its points, and hence every quantile
-and verdict, are bit-identical to sampling that grid point by itself;
-sample_uniform is the one-chain case.
+Polytopes become quantiles through one sweep, _sweep, for every entry
+point: sample_uniform and conclusion_quantile walk a one-point sweep and
+scaling_verdict a grid of them. _sweep reduces each distinct polytope
+(the same arrays are the same LP), and _groups plans which points walk
+together from the reduced shapes alone. It starts the sweep's one helper
+thread, which draws the walk's random numbers one chunk ahead, in walk
+order across groups, and then solves the LPs on the calling thread while
+the first chunk is drawn, so an empty point raises before any walk.
+_DrawAhead.walks walks each group in lockstep, with each group's first
+chunk drawn while the group before it walks its last, and _quantiles
+turns each walked chunk into exception rates at once, so a group holds
+(K, n) rates and no points. A lockstep step is a few NumPy calls over the
+whole group, so NumPy's per-call cost is paid once per step for the group
+instead of once per chain. A point whose LP finds it single-point leaves
+its planned group and walks in none. Every chain draws from its own
+generator and does exactly the arithmetic it would do alone, so its
+points, and hence every quantile and verdict, are bit-identical to
+sampling that grid point by itself.
 
 A verdict's sample depends on its sweep, not on its query, so
 scaling_verdict keeps the last sweep it walked, in one module-level entry,
@@ -48,18 +49,18 @@ visited points chunk by chunk; a replay hands those recorded walks to
 _quantiles, which reads them as it reads a walk, so every quantile is
 bit-identical. A sweep is recorded only when len(sweep) * n * atom_count
 * 8 bytes, a bound on its points known before any LP, is at most 4 MiB;
-larger sweeps stream and record nothing. A miss drops the old entry and
-builds every grid point's polytope, then its walk space, one per
-distinct polytope (the same arrays are the same LP), before any walk, so
-an empty grid point raises before any walk; the new entry is published
-only once the whole sweep has walked, so a sweep that raises leaves no
-entry.
+larger sweeps stream and record nothing. A call reads the entry once,
+so a miss on another thread that drops it cannot break a replay under
+way. A miss drops the old entry and walks its sweep; the new entry is
+published only once the whole sweep has walked, so a sweep that raises
+leaves no entry.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Iterator
@@ -75,7 +76,6 @@ from .polytope import (
     _Walkspace,
     _reduce,
     _solve,
-    _walkspace,
     build_polytope,
     indicator,
 )
@@ -287,8 +287,8 @@ class _DrawAhead:
 
     It is made from the lockstep plan and each point's rows.shape, which
     are known before any LP, and it submits the first planned group's
-    first chunk at once, so a sweep that makes it before its LPs has that
-    chunk drawn while they solve. walks then walks the groups, and each
+    first chunk at once, so _sweep, which makes it before the LPs, has
+    that chunk drawn while they solve. walks then walks the groups, and each
     chunk's draw is submitted when the chunk before it in walk order,
     across group boundaries, starts to walk: a group's first chunk is
     drawn while the group before it walks its last. The draws alternate
@@ -338,10 +338,6 @@ class _DrawAhead:
         order = [group for group in groups for _ in range(count)]
         first = self.plan[0] if self.plan else []
         drawn = self.drawn
-        if drawn is not None and not (order and order[0][0] in first):
-            # No chain of the first planned group walks: its chunk goes unused.
-            drawn.result()
-            drawn = self._submit(0, order[0]) if order else None
         for index, group in enumerate(order):
             normals, uniforms = drawn.result()
             if index + 1 < len(order):
@@ -360,6 +356,11 @@ class _DrawAhead:
             [i for i in group if spaces[i].radius > _DEGENERATE_RADIUS] for group in self.plan
         )
         groups = [group for group in walked if group]
+        if self.drawn is not None and not (groups and groups[0][0] in self.plan[0]):
+            # No chain of the first planned group walks: its chunk goes
+            # unused, and is awaited even when no group walks at all.
+            self.drawn.result()
+            self.drawn = self._submit(0, groups[0]) if groups else None
         chunks = self._chunks(groups, len(range(-burn_in, n, _CHUNK)))
         for group in groups:
             yield group, _lockstep([spaces[i] for i in group], chunks, n, burn_in)
@@ -388,17 +389,19 @@ def sample_uniform(
     Raises InfeasiblePolytopeError on an empty polytope. A polytope with
     a single point (radius 0) yields that point n times with
     degenerate=True.
+
+    The polytope is a one-point _sweep, so its first chunk is drawn while
+    its LP solves. Every row starts at the center, which a single-point
+    polytope keeps, and a walk writes every row over it.
     """
     _check_run(n, burn_in, seed)
-    space = _walkspace(system)
     points = np.zeros((n, system.dimension))
-    if space.radius <= _DEGENERATE_RADIUS:
+    with _sweep([system], [seed], n, burn_in) as ((space,), walks):
         points[:, space.keep] = space.center
-        return UniformSample(points, degenerate=True)
-    for _, chunks in _walks([space], [seed], n, burn_in):
-        for stored, visited in chunks:
-            points[stored, space.keep] = visited[0]
-    return UniformSample(points=points, degenerate=False)
+        for _, chunks in walks:
+            for stored, visited in chunks:
+                points[stored, space.keep] = visited[0]
+    return UniformSample(points, degenerate=space.radius <= _DEGENERATE_RADIUS)
 
 
 def _weights(gamma: Proposition, zeta: Proposition, dimension: int) -> np.ndarray:
@@ -460,13 +463,35 @@ def _groups(shapes: list[tuple[int, int]]) -> list[list[int]]:
     return groups
 
 
-def _walks(spaces: list[_Walkspace], seeds, n: int, burn_in: int) -> Iterator:
-    """_DrawAhead.walks of solved spaces, one seed per space, on a helper
-    thread of their own that ends with the walk, or when the generator is
-    closed."""
-    shapes = [space.rows.shape for space in spaces]
+@contextmanager
+def _sweep(systems: list[PolytopeSystem], seeds, n: int, burn_in: int):
+    """Solve and walk a sweep of polytopes, one seed per system: the block
+    gets (spaces, walks), each system's walk space in order and
+    _DrawAhead.walks over them.
+
+    Each distinct system (the same arrays are the same LP) is reduced
+    once, the lockstep groups are planned from the reduced shapes, and
+    the sweep's helper thread starts drawing the first chunk before the
+    LPs, which solve in order on the calling thread. The first empty
+    system in order raises InfeasiblePolytopeError, with its position in
+    systems as the error's index, before any walk. The helper ends when
+    the block exits, on error too, once its pending draw is done.
+    """
+    arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
+    reduced = {key: _reduce(system) for key, system in dict(zip(arrays, systems)).items()}
+    shapes = [reduced[key][1].shape for key in arrays]
     with ThreadPoolExecutor(max_workers=1) as helper:
-        yield from _DrawAhead(helper, _groups(shapes), shapes, seeds).walks(spaces, n, burn_in)
+        ahead = _DrawAhead(helper, _groups(shapes), shapes, seeds)
+        solved: dict[tuple, _Walkspace] = {}
+        for index, key in enumerate(arrays):
+            if key not in solved:
+                try:
+                    solved[key] = _solve(*reduced[key])
+                except InfeasiblePolytopeError as err:
+                    err.index = index
+                    raise
+        spaces = [solved[key] for key in arrays]
+        yield spaces, ahead.walks(spaces, n, burn_in)
 
 
 def _read_group(
@@ -514,13 +539,13 @@ def conclusion_quantile(
 ) -> float:
     """Empirical (1 - params.eta)-quantile of 1 - pi(zeta|gamma) over
     models sampled uniformly from the kb polytope at params, as
-    sample_uniform would draw them."""
+    sample_uniform would draw them: a one-point _sweep, read chunk by
+    chunk into rates, so no model is kept."""
     _check_run(n, burn_in, seed)
     if query.signature != kb.signature:
         raise SignatureError("query signature differs from knowledge base")
-    spaces = [_walkspace(build_polytope(kb, params))]
-    walks = _walks(spaces, [seed], n, burn_in)
-    (quantile,) = _quantiles(spaces, walks, query, kb.signature.atom_count, n, params.eta)
+    with _sweep([build_polytope(kb, params)], [seed], n, burn_in) as (spaces, walks):
+        (quantile,) = _quantiles(spaces, walks, query, kb.signature.atom_count, n, params.eta)
     return quantile
 
 
@@ -589,14 +614,13 @@ def scaling_verdict(
     its pinned atoms or its LP find it empty. The query must be over the
     kb's signature.
 
-    Each grid point is sampled with its own seed, drawn from seed, and its
-    quantile taken by _quantiles, exactly as conclusion_quantile would
-    take it alone; grouping the walks changes no sample. The lockstep
-    groups are planned from each reduced polytope's shape before the LPs,
-    and the sweep's one helper thread draws the first chunk while they
-    solve, one at a time on the calling thread; an empty point ends the
-    helper once its pending draw is done. n, burn_in, seed and the grid
-    are checked before any polytope is built.
+    The grid's psi scales and deltas are one _sweep, as conclusion_quantile
+    is a one-point sweep: each grid point is sampled with its own seed,
+    drawn from seed, and its quantile taken by _quantiles, exactly as
+    conclusion_quantile would take it alone, so grouping the walks
+    changes no sample, and the first chunk is drawn while the LPs solve.
+    n, burn_in, seed and the grid are checked before any polytope is
+    built.
 
     The sample does not depend on the query or eta. A sweep whose points
     take at most 4 MiB (len(PSI_SWEEP) * len(grid) * n * atom_count * 8
@@ -617,45 +641,34 @@ def scaling_verdict(
         raise SignatureError("query signature differs from knowledge base")
     sweep = list(product(PSI_SWEEP, grid))
     key = (kb, params.psi, grid, n, burn_in, seed)
+    atoms = kb.signature.atom_count
     global _last_sweep
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        if _last_sweep is not None and _last_sweep[0] == key:
-            _, spaces, walks = _last_sweep
-        else:
-            _last_sweep = None
-            seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
-            systems = [
-                build_polytope(
-                    kb, replace(params, psi=[scale * p for p in params.psi], delta=delta)
-                )
-                for scale, delta in sweep
-            ]
-            arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
-            reduced = {
-                system_arrays: _reduce(system)
-                for system_arrays, system in dict(zip(arrays, systems)).items()
-            }
-            shapes = [reduced[system_arrays][1].shape for system_arrays in arrays]
-            ahead = _DrawAhead(helper, _groups(shapes), shapes, seeds.tolist())
-            solved: dict[tuple, _Walkspace] = {}
-            for (scale, delta), system_arrays in zip(sweep, arrays):
-                if system_arrays not in solved:
-                    try:
-                        solved[system_arrays] = _solve(*reduced[system_arrays])
-                    except InfeasiblePolytopeError as err:
-                        raise InfeasiblePolytopeError(
-                            f"polytope is empty at delta={delta} (psi scale {scale});"
-                            " the scaling fit is undefined"
-                        ) from err
-            spaces = [solved[system_arrays] for system_arrays in arrays]
-            walks = ahead.walks(spaces, n, burn_in)
-            if len(sweep) * n * kb.signature.atom_count * 8 <= _REPLAY_BYTES:
-                walks = [
-                    (group, [(stored, visited.copy()) for stored, visited in chunks])
-                    for group, chunks in walks
-                ]
-                _last_sweep = (key, spaces, walks)
-        quantiles = _quantiles(spaces, walks, query, kb.signature.atom_count, n, params.eta)
+    entry = _last_sweep
+    if entry is not None and entry[0] == key:
+        _, spaces, walks = entry
+        quantiles = _quantiles(spaces, walks, query, atoms, n, params.eta)
+    else:
+        _last_sweep = None
+        seeds = np.random.SeedSequence(seed).generate_state(len(sweep), dtype=np.uint64)
+        systems = [
+            build_polytope(kb, replace(params, psi=[scale * p for p in params.psi], delta=delta))
+            for scale, delta in sweep
+        ]
+        try:
+            with _sweep(systems, seeds.tolist(), n, burn_in) as (spaces, walks):
+                if len(sweep) * n * atoms * 8 <= _REPLAY_BYTES:
+                    walks = [
+                        (group, [(stored, visited.copy()) for stored, visited in chunks])
+                        for group, chunks in walks
+                    ]
+                    _last_sweep = (key, spaces, walks)
+                quantiles = _quantiles(spaces, walks, query, atoms, n, params.eta)
+        except InfeasiblePolytopeError as err:
+            scale, delta = sweep[err.index]
+            raise InfeasiblePolytopeError(
+                f"polytope is empty at delta={delta} (psi scale {scale});"
+                " the scaling fit is undefined"
+            ) from err
     rows = [tuple(quantiles[i : i + len(grid)]) for i in range(0, len(sweep), len(grid))]
     exponents = [_fit_exponent(np.array(grid), np.array(row)) for row in rows]
     verdicts = {_single_verdict(exponent, query.threshold) for exponent in exponents}

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq, linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from scipy.stats import beta
 
 import threshgen as tg
 from threshgen.polytope import _walkspace
-from threshgen.sampling import _CHUNK, _SLICE, _walks
+from threshgen.sampling import _CHUNK, _SLICE, _sweep
 
 
 def child_env(**overrides):
@@ -180,18 +180,19 @@ def loop_walk(rows, rhs, y, normals, uniforms, out):
     y[:] = point
 
 
-def lockstep_points(spaces, seeds, n, burn_in):
-    """The (K, n, q) points of the spaces walked as one lockstep group,
-    checking on the way that the chunks hand back sample indices 0..n-1
-    in order."""
-    points = np.empty((len(spaces), n, spaces[0].rows.shape[1]))
+def lockstep_points(systems, seeds, n, burn_in):
+    """The (K, n, q) points of the systems' walk spaces, walked as one
+    lockstep group of one sweep, checking on the way that the chunks hand
+    back sample indices 0..n-1 in order."""
     end = 0
-    for group, chunks in _walks(spaces, seeds, n, burn_in):
-        assert group == list(range(len(spaces)))
-        for stored, visited in chunks:
-            assert stored.start == end and visited.shape[:2] == (len(spaces), stored.stop - end)
-            points[:, stored] = visited
-            end = stored.stop
+    with _sweep(systems, seeds, n, burn_in) as (spaces, walks):
+        points = np.empty((len(spaces), n, spaces[0].rows.shape[1]))
+        for group, chunks in walks:
+            assert group == list(range(len(spaces)))
+            for stored, visited in chunks:
+                assert stored.start == end and visited.shape[:2] == (len(spaces), stored.stop - end)
+                points[:, stored] = visited
+                end = stored.stop
     assert end == n
     return points
 
@@ -227,7 +228,9 @@ def _drop_last(rows, rhs):
 
 def _inner_point(rows, rhs):
     """Chebyshev center and radius of rows @ u <= rhs; radius 0 when the
-    system is empty."""
+    system is empty. The feasibility tolerances are HiGHS's tightest: at
+    its default of 1e-7 the center of a polytope of radius 1e-8 can lie
+    outside it."""
     d = rows.shape[1]
     norms = np.linalg.norm(rows, axis=1)
     result = linprog(
@@ -235,20 +238,78 @@ def _inner_point(rows, rhs):
         A_ub=np.hstack([rows, norms[:, None]]),
         b_ub=rhs,
         bounds=[(None, None)] * d + [(0, None)],
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if result.status != 0:
         return None, 0.0
     return result.x[:d], result.x[d]
 
 
-def _volume(rows, rhs, inside):
-    """Volume of rows @ u <= rhs, given a point strictly inside."""
+def _analytic_center(rows, rhs, start):
+    """The point of rows @ u < rhs that maximizes sum(log(rhs - rows @ u)),
+    by Newton steps with backtracking from a strictly interior start, and
+    the triangular R of the slack-scaled rows there: R.T @ R is the log
+    barrier's Hessian. Each step solves least squares on the scaled rows,
+    not a system in the Hessian, whose condition number is the square of
+    theirs and reaches 1e16 in the thinnest polytopes."""
+    u = start
+
+    def barrier(point):
+        slack = rhs - rows @ point
+        return -np.log(slack).sum() if np.all(slack > 0.0) else math.inf
+
+    for _ in range(100):
+        scaled = rows / (rhs - rows @ u)[:, None]
+        step = np.linalg.lstsq(scaled, -np.ones(len(rows)), rcond=None)[0]
+        decrement = -scaled.sum(axis=0) @ step
+        if decrement <= 1e-16:
+            break
+        # Below a squared decrement of 1/16 a full step stays inside and
+        # converges quadratically (Boyd & Vandenberghe, section 9.6).
+        t, value = 1.0, barrier(u)
+        while decrement > 1 / 16 and barrier(u + t * step) > value - 0.25 * t * decrement:
+            t /= 2
+        u = u + t * step
+    return u, np.linalg.qr(rows / (rhs - rows @ u)[:, None], mode="r")
+
+
+def _volume(rows, rhs):
+    """Volume of rows @ u <= rhs; 0 when it has no interior.
+
+    A thin polytope, such as one cut by rows scaled by psi * delta**k,
+    can leave Qhull's seed point on a facet. So the vertices are found
+    after the affine map v = R @ (u - c), with c the analytic centre and
+    R.T @ R the log barrier's Hessian there: in v the polytope holds the
+    unit ball and lies within a ball of radius len(rows), and the seed
+    point 0 is at least 1 from every facet. Their hull is measured back
+    in u, where Qhull merges the clusters of nearly equal vertices that
+    many facets meeting at small angles leave; in v it resolves them and
+    fails more often.
+    """
     if rows.shape[1] == 1:
         column = rows[:, 0]
         ends = rhs / column
         return max(0.0, ends[column > 0].min() - ends[column < 0].max())
-    halfspaces = HalfspaceIntersection(np.hstack([rows, -rhs[:, None]]), inside)
-    return ConvexHull(halfspaces.intersections).volume
+    inside, radius = _inner_point(rows, rhs)
+    if radius <= 1e-14:
+        return 0.0
+    # A zero row holds everywhere, since the polytope has an interior.
+    norms = np.linalg.norm(rows, axis=1)
+    live = norms > 0.0
+    rows, rhs = rows[live] / norms[live, None], rhs[live] / norms[live]
+    center, factor = _analytic_center(rows, rhs, inside)
+    rounded = np.linalg.solve(factor.T, rows.T).T / (rhs - rows @ center)[:, None]
+    vertices = HalfspaceIntersection(
+        np.hstack([rounded, -np.ones((len(rounded), 1))]), np.zeros(rows.shape[1])
+    ).intersections
+    try:
+        return ConvexHull(center + np.linalg.solve(factor, vertices.T).T).volume
+    except QhullError:
+        # Joggled in v, where the map scales volumes by |det(R)|. On the
+        # corpus of tests/exact_oracle_corpus.py it is needed for 53 of
+        # about 10000 volumes and moves no quantile by more than 1e-8.
+        hull = ConvexHull(vertices, qhull_options="QJ")
+    return hull.volume / abs(np.prod(np.diag(factor)))
 
 
 def exact_quantile(kb, params, query):
@@ -273,7 +334,7 @@ def exact_quantile(kb, params, query):
         np.vstack([space.rows, -np.eye(keep.size)]),
         np.zeros(len(space.rows) + keep.size),
     )
-    whole = _volume(rows, rhs, space.center[:-1])
+    whole = _volume(rows, rhs)
     gamma, both = (
         tg.indicator(prop.mask, system.dimension)[keep]
         for prop in (query.antecedent, query.antecedent & query.consequent)
@@ -283,12 +344,7 @@ def exact_quantile(kb, params, query):
         cut, bound = _drop_last(((1.0 - t) * gamma - both)[None], np.zeros(1))
         if not cut.any():
             return 1.0 if bound[0] >= 0.0 else 0.0
-        cut_rows = np.vstack([rows, cut])
-        cut_rhs = np.concatenate([rhs, bound])
-        inside, radius = _inner_point(cut_rows, cut_rhs)
-        if radius <= 1e-14:
-            return 0.0
-        return _volume(cut_rows, cut_rhs, inside) / whole
+        return _volume(np.vstack([rows, cut]), np.concatenate([rhs, bound])) / whole
 
     level = 1.0 - params.eta
     if share_within(0.0) >= level:

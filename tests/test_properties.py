@@ -92,19 +92,19 @@ DELTAS = st.sampled_from((0.5, 0.2, 0.05))
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-def walkspaces(kb, delta):
-    """The non-degenerate reduced polytopes of kb over the psi sweep at
-    delta; empty and single-point ones are left out."""
-    spaces = []
+def walked_systems(kb, delta):
+    """The polytopes of kb over the psi sweep at delta that walk, each with
+    its reduced shape; empty and single-point ones are left out."""
+    walked = []
     for scale in tg.PSI_SWEEP:
-        params = tg.ParameterAssignment(psi=(scale,) * kb.size, delta=delta)
+        system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(scale,) * kb.size, delta=delta))
         try:
-            space = _walkspace(tg.build_polytope(kb, params))
+            space = _walkspace(system)
         except tg.InfeasiblePolytopeError:
             continue
         if space.radius > _DEGENERATE_RADIUS:
-            spaces.append(space)
-    return spaces
+            walked.append((system, space.rows.shape))
+    return walked
 
 
 @SAMPLING
@@ -133,8 +133,9 @@ def test_center_is_a_model(kb, delta):
             return walk(rows, rhs, *args)
 
         with mock.patch.object(sampling, "_walk", spy):
-            for _, chunks in sampling._walks([space], [0], 1, 0):
-                next(chunks)
+            with sampling._sweep([system], [0], 1, 0) as (_, walks):
+                for _, chunks in walks:
+                    next(chunks)
         (rows, rhs), q = seen[0], space.keep.size
         assert np.array_equal(rows, np.vstack([space.rows, -np.eye(q)]))
         assert np.array_equal(rhs, np.zeros(len(rows)))
@@ -156,12 +157,11 @@ def test_sampled_points_lie_in_the_polytope(kb, delta, seed):
 @SAMPLING
 @hypothesis.given(knowledge_bases(), DELTAS, SEEDS)
 def test_lockstep_group_equals_its_lone_chains(kb, delta, seed):
-    spaces = walkspaces(kb, delta)
-    shapes = {space.rows.shape for space in spaces}
-    for shape in shapes:
-        group = [space for space in spaces if space.rows.shape == shape]
+    walked = walked_systems(kb, delta)
+    for shape in {shape for _, shape in walked}:
+        group = [system for system, system_shape in walked if system_shape == shape]
         seeds = [seed + k for k in range(len(group))]
         together = lockstep_points(group, seeds, 300, 50)
-        for space, chain_seed, points in zip(group, seeds, together):
-            (alone,) = lockstep_points([space], [chain_seed], 300, 50)
+        for system, chain_seed, points in zip(group, seeds, together):
+            (alone,) = lockstep_points([system], [chain_seed], 300, 50)
             assert np.array_equal(points, alone)

@@ -23,6 +23,7 @@ from support import (
     reference_walk,
     truncated_beta_quantile,
 )
+from exact_oracle_corpus import corpus_cases, grid_points
 from threshgen import polytope, sampling
 from threshgen.polytope import _walkspace
 from threshgen.sampling import _CHUNK, _walk
@@ -51,6 +52,21 @@ def rule_quantile(query, params):
     other_atoms = len(list((query.antecedent & query.consequent).atoms()))
     bound = params.delta**query.threshold
     return truncated_beta_quantile(exception_atoms, other_atoms, bound, params.eta)
+
+
+ENTRY_POINTS = ("sample_uniform", "conclusion_quantile", "scaling_verdict")
+
+
+def run_entry_point(name, kb, params, query, n, burn_in, seed):
+    """One of the three entry points, each a sweep, on kb at params: the
+    sampled points, the quantile, or a verdict's quantiles on the grid
+    that halves params.delta twice."""
+    if name == "sample_uniform":
+        return tg.sample_uniform(tg.build_polytope(kb, params), n, burn_in, seed).points
+    if name == "conclusion_quantile":
+        return tg.conclusion_quantile(kb, params, query, n, burn_in, seed)
+    grid = (params.delta, params.delta / 2, params.delta / 4)
+    return tg.scaling_verdict(kb, query, grid, params, n=n, seed=seed, burn_in=burn_in).quantiles
 
 
 def wide_grid_case():
@@ -249,17 +265,15 @@ class TestSampleUniform:
         # inside the fourth, so the group crosses every kind of chunk
         # boundary; each chain must still be bit-identical alone.
         kb = two_rule_chain_kb()
-        spaces = [
-            _walkspace(
-                tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0, 1.0), delta=d))
-            )
+        systems = [
+            tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0, 1.0), delta=d))
             for d in (0.1, 0.05, 0.025)
         ]
-        assert len({space.rows.shape for space in spaces}) == 1
+        assert len({_walkspace(system).rows.shape for system in systems}) == 1
         seeds = [17, 18, 19]
-        together = lockstep_points(spaces, seeds, 1100, 700)
-        for space, seed, points in zip(spaces, seeds, together):
-            (alone,) = lockstep_points([space], [seed], 1100, 700)
+        together = lockstep_points(systems, seeds, 1100, 700)
+        for system, seed, points in zip(systems, seeds, together):
+            (alone,) = lockstep_points([system], [seed], 1100, 700)
             assert np.array_equal(points, alone)
 
     def test_samples_satisfy_constraints(self):
@@ -410,16 +424,16 @@ class TestDrawAhead:
                 assert np.array_equal(result, expected)
 
     def test_closing_a_walk_ends_its_helper(self):
-        space = _walkspace(simple_system()[1])
+        # The sweep's block is left part-way through the walk.
         before = threading.active_count()
-        walk = sampling._walks([space], [3], 5000, 0)
-        _, chunks = next(walk)
-        next(chunks)
-        assert threading.active_count() == before + 1
-        walk.close()
+        with sampling._sweep([simple_system()[1]], [3], 5000, 0) as (_, walks):
+            _, chunks = next(walks)
+            next(chunks)
+            assert threading.active_count() == before + 1
         assert threading.active_count() == before
 
-    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch, entry):
         # The second chunk's normals fail, on the helper, while the first
         # chunk walks.
         default_rng = np.random.default_rng
@@ -439,13 +453,60 @@ class TestDrawAhead:
                 return self.rng.random(out=out)
 
         monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
-        _, system = simple_system()
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        kb, _ = simple_system()
+        params = tg.ParameterAssignment(psi=(1.0,), delta=0.1)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
-            tg.sample_uniform(system, 2000, burn_in=0, seed=3)
+            run_entry_point(entry, kb, params, rule(A1, "true", "a", 1), 2000, 0, 3)
+        assert threading.active_count() == before
+        assert sampling._last_sweep is None
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_an_unused_draw_is_awaited(self, monkeypatch, entry):
+        # Every point's LP finds it single-point (pi(a) = 0 where
+        # psi * delta < 0.5), so no group walks and the chunk drawn while
+        # the LPs solved goes unused: its failure still reaches the caller.
+        def fail(*args):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(sampling, "_draw", fail)
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        kb = tg.load_kb("a => b @ 1\na => ~b @ 1\n")
+        params = tg.ParameterAssignment(psi=(0.2, 0.2), delta=0.9)
+        query = tg.parse_query("t => a & b @ 1", kb.signature)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_entry_point(entry, kb, params, query, 300, 10, 0)
         assert threading.active_count() == before
 
-    def test_first_chunk_is_drawn_while_the_lps_solve(self, monkeypatch):
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_an_empty_polytope_ends_the_helper_after_its_draw(self, monkeypatch, entry):
+        # Only the LP finds the polytope empty, after the helper has
+        # started drawing the first chunk: the error waits for that draw.
+        kb = tg.KnowledgeBase(A1, (rule(A1, "true", "a", 1), rule(A1, "true", "~a", 1)))
+        params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.3)
+        started, finished, walked = [], [], []
+        draw = sampling._draw
+
+        def slow_draw(*args):
+            started.append(True)
+            time.sleep(0.2)
+            draw(*args)
+            finished.append(True)
+
+        monkeypatch.setattr(sampling, "_draw", slow_draw)
+        monkeypatch.setattr(sampling, "_walk", lambda *args: walked.append(args))
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        before = threading.active_count()
+        with pytest.raises(tg.InfeasiblePolytopeError):
+            run_entry_point(entry, kb, params, rule(A1, "true", "a", 1), 300, 10, 0)
+        assert started and finished == started
+        assert walked == []
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_first_chunk_is_drawn_while_the_lps_solve(self, monkeypatch, entry):
         # Every LP waits for a draw to start, so a sweep that submitted its
         # first draw only after its LPs would wait out the timeout.
         started = threading.Event()
@@ -460,17 +521,23 @@ class TestDrawAhead:
             waited.append(started.wait(timeout=10))
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(sampling, "_draw", draw_spy)
-        monkeypatch.setattr(polytope, "linprog", lp_spy)
-        monkeypatch.setattr(sampling, "_last_sweep", None)
         kb = two_rule_chain_kb()
         params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
         query = rule(AB, "true", "a | b", 2)
-        grid = (0.1, 0.05, 0.025)
-        report = tg.scaling_verdict(kb, query, grid, params, n=700, seed=21, burn_in=100)
+        with monkeypatch.context() as patched:
+            patched.setattr(sampling, "_draw", draw_spy)
+            patched.setattr(polytope, "linprog", lp_spy)
+            patched.setattr(sampling, "_last_sweep", None)
+            result = run_entry_point(entry, kb, params, query, 700, 100, 21)
         assert waited and all(waited)
-        expected = per_point_quantiles(kb, query, grid, params, 700, 21, 100)
-        assert np.array_equal(report.quantiles, expected)
+        # The same numbers as without the spies; a verdict's are those of
+        # each grid point's own conclusion_quantile.
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        if entry == "scaling_verdict":
+            expected = per_point_quantiles(kb, query, (0.1, 0.05, 0.025), params, 700, 21, 100)
+        else:
+            expected = run_entry_point(entry, kb, params, query, 700, 100, 21)
+        assert np.array_equal(result, expected)
 
     @pytest.mark.parametrize(
         "text, psi, plan, walked",
@@ -538,6 +605,73 @@ class TestDrawAhead:
         assert draws == [8, 4]
         assert threading.active_count() == before
         assert sampling._last_sweep is None
+
+
+class TestSweep:
+    # _sweep is the one route from polytopes to walks. On a sample of random
+    # sweeps with empty and duplicate systems, each of its spaces must be
+    # the walk space that _walkspace finds alone, and it must raise for the
+    # first system that _walkspace rejects.
+
+    @staticmethod
+    def fields(space):
+        return (
+            space.keep.tobytes(),
+            space.rows.shape,
+            space.rows.tobytes(),
+            space.center.tobytes(),
+            space.radius.hex(),
+        )
+
+    @staticmethod
+    def arrays(system):
+        return system.rows.shape, system.rows.tobytes()
+
+    def test_spaces_equal_lone_walkspaces(self, lps):
+        rng = np.random.default_rng(12)
+        emptied = duplicated = 0
+        for _ in range(12):
+            kb = random_kb(rng, max_names=4, max_rules=4, allow_infinite=True)
+            systems = [
+                tg.build_polytope(kb, tg.ParameterAssignment(psi=(scale,) * kb.size, delta=delta))
+                for scale in tg.PSI_SWEEP
+                for delta in (0.5, 0.2, 0.05)
+            ]
+            seeds = list(range(len(systems)))
+            # Each distinct system solved alone, in order, with its LPs.
+            alone, solves = {}, {}
+            for system in systems:
+                if self.arrays(system) not in alone:
+                    lps.clear()
+                    try:
+                        alone[self.arrays(system)] = _walkspace(system)
+                    except tg.InfeasiblePolytopeError:
+                        alone[self.arrays(system)] = None
+                    solves[self.arrays(system)] = len(lps)
+            empty = [alone[self.arrays(system)] is None for system in systems]
+            first = empty.index(True) if any(empty) else len(systems)
+            lps.clear()
+            if first < len(systems):
+                with pytest.raises(tg.InfeasiblePolytopeError) as raised:
+                    with sampling._sweep(systems, seeds, 1, 0):
+                        pass
+                assert raised.value.index == first
+            else:
+                with sampling._sweep(systems, seeds, 1, 0):
+                    pass
+            # Each distinct system's LPs, once, up to the first empty one.
+            solved = dict.fromkeys(map(self.arrays, systems[: first + 1]))
+            assert len(lps) == sum(solves[key] for key in solved)
+            emptied += first < len(systems)
+            duplicated += len(alone) < len(systems)
+            kept = [system for system, gone in zip(systems, empty) if not gone]
+            if kept:
+                with sampling._sweep(kept, seeds, 1, 0) as (spaces, _):
+                    pass
+                assert [self.fields(space) for space in spaces] == [
+                    self.fields(alone[self.arrays(system)]) for system in kept
+                ]
+        assert emptied and duplicated
 
 
 class TestExceptionRate:
@@ -649,6 +783,36 @@ class TestExactQuantile:
         for delta, expected in zip(self.CHAIN_GRID, self.CHAIN_QUANTILES):
             params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=delta)
             assert abs(exact_quantile(kb, params, query) / expected - 1) <= 1e-4
+
+    # The grid points of tests/exact_oracle_corpus.py where Qhull raised
+    # before exact_quantile measured volumes in a rounded frame: 36 points
+    # in 12 cases, by case index and position in the psi sweep x grid.
+    QHULL_POINTS = {
+        5: (2, 3, 7),
+        8: (2, 3, 7, 11),
+        10: (1, 2, 3, 5, 6, 7, 11),
+        16: (3,),
+        24: (3, 7),
+        25: (3, 6, 7),
+        29: (10,),
+        31: (3,),
+        32: (3, 6, 7),
+        34: (2, 3, 6, 7, 11),
+        35: (3, 6, 7, 11),
+        37: (3, 7),
+    }
+
+    def test_thin_corpus_polytopes_are_measured(self):
+        cases = corpus_cases(max(self.QHULL_POINTS) + 1)
+        measured = 0
+        for index, positions in self.QHULL_POINTS.items():
+            kb, query = cases[index]
+            points = grid_points(kb)
+            for position in positions:
+                quantile = exact_quantile(kb, points[position], query)
+                assert 0.0 < quantile < 1.0, (index, position)
+                measured += 1
+        assert measured == 36
 
     def test_walk_quantiles_are_calibrated(self):
         # Measured over seeds 0-19 at n = 20000: the walk's quantile lies
@@ -863,14 +1027,11 @@ class TestScalingVerdict:
         # against its own kept atoms, exactly as that chain alone. The
         # rates are caught on their way into the quantile.
         params = tg.ParameterAssignment(psi=(1.0,), delta=0.1)
-        spaces = [
-            _walkspace(
-                tg.build_polytope(
-                    tg.KnowledgeBase(AB, (rule(AB, "true", name, tg.INFINITY),)), params
-                )
-            )
+        systems = [
+            tg.build_polytope(tg.KnowledgeBase(AB, (rule(AB, "true", name, tg.INFINITY),)), params)
             for name in ("a", "b")
         ]
+        spaces = [_walkspace(system) for system in systems]
         assert spaces[0].rows.shape == spaces[1].rows.shape
         assert not np.array_equal(spaces[0].keep, spaces[1].keep)
         read = []
@@ -885,15 +1046,15 @@ class TestScalingVerdict:
 
         def rates(group, seeds):
             read.clear()
-            walks = sampling._walks(group, seeds, 700, 100)
-            sampling._quantiles(group, walks, query, AB.atom_count, 700, 0.1)
+            with sampling._sweep(group, seeds, 700, 100) as (spaces, walks):
+                sampling._quantiles(spaces, walks, query, AB.atom_count, 700, 0.1)
             return list(read)
 
         seeds = [3, 4]
-        together = rates(spaces, seeds)
+        together = rates(systems, seeds)
         assert len(together) == 2
-        for space, seed, chain_rates in zip(spaces, seeds, together):
-            (alone,) = rates([space], [seed])
+        for system, seed, chain_rates in zip(systems, seeds, together):
+            (alone,) = rates([system], [seed])
             assert np.array_equal(chain_rates, alone)
         assert not together[0].any() and together[1].all()
 
@@ -1089,6 +1250,23 @@ class TestSweepReplay:
         assert replayed == before
         self.verdict(self.QUERIES[0], seed=6)
         assert len(built) == len(tg.PSI_SWEEP) * len(self.GRID)
+
+    def test_a_replay_reads_the_entry_once(self, lps):
+        # A miss on another thread drops the entry. Here the seed's own
+        # comparison drops it, after the key matched: a replay that read
+        # the entry again would find None.
+        before = self.verdict(self.QUERIES[0])
+
+        class DroppingSeed(int):
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                sampling._last_sweep = None
+                return int.__eq__(self, other)
+
+        lps.clear()
+        assert self.verdict(self.QUERIES[0], seed=DroppingSeed(5)) == before
+        assert lps == []
 
     def test_eta_is_not_part_of_the_sweep(self, lps):
         self.verdict(self.QUERIES[0])
