@@ -25,16 +25,22 @@ together from the reduced shapes alone. It starts the sweep's one helper
 thread, which draws the walk's random numbers one chunk ahead, in walk
 order across groups, and then solves the LPs on the calling thread while
 the first chunk is drawn, so an empty point raises before any walk.
-_DrawAhead.walks walks each group in lockstep, with each group's first
-chunk drawn while the group before it walks its last, and _quantiles
-turns each walked chunk into exception rates at once, so a group holds
-(K, n) rates and no points. A lockstep step is a few NumPy calls over the
-whole group, so NumPy's per-call cost is paid once per step for the group
-instead of once per chain. A point whose LP finds it single-point leaves
-its planned group and walks in none. Every chain draws from its own
-generator and does exactly the arithmetic it would do alone, so its
-points, and hence every quantile and verdict, are bit-identical to
-sampling that grid point by itself.
+_DrawAhead.walks walks each group in lockstep and hands the whole sweep
+over as one stream of (group, stored, visited) chunks, with each group's
+first chunk drawn while the group before it walks its last. _quantiles
+reads that stream into one (points, n) array of exception rates: every
+row starts at the rate at its point's center and each walked chunk is
+written over its rows at once, so the sweep holds rates and no points.
+A lockstep step is a few NumPy calls over the whole group, so NumPy's
+per-call cost is paid once per step for the group instead of once per
+chain. A point whose LP finds it single-point is walked in no group and
+keeps its center's rate. If that takes a point out of the first planned
+group, the chunk drawn for that group during the LPs is awaited unused,
+its generators restart from their seeds, and the first group that walks
+draws its first chunk afresh. Every chain draws from its own generator
+and does exactly the arithmetic it would do alone, so its points, and
+hence every quantile and verdict, are bit-identical to sampling that
+grid point by itself.
 
 A verdict's sample depends on its sweep, not on its query, so
 scaling_verdict keeps the last sweep it walked, in one module-level entry,
@@ -44,16 +50,15 @@ polytope, solves no LP and takes no walk. The entry's key is those
 inputs, (kb, psi, grid, n, burn_in, seed), which fix every polytope and
 seed of the sweep; it holds neither eta nor the query. The kb compares
 by value, so a reloaded knowledge base hits. The entry holds the grid
-points' walk spaces and, for each lockstep group, its indices and its
-visited points chunk by chunk; a replay hands those recorded walks to
-_quantiles, which reads them as it reads a walk, so every quantile is
-bit-identical. A sweep is recorded only when len(sweep) * n * atom_count
-* 8 bytes, a bound on its points known before any LP, is at most 4 MiB;
-larger sweeps stream and record nothing. A call reads the entry once,
-so a miss on another thread that drops it cannot break a replay under
-way. A miss drops the old entry and walks its sweep; the new entry is
-published only once the whole sweep has walked, so a sweep that raises
-leaves no entry.
+points' walk spaces and a copy of the stream of walked chunks, each
+with its group; a replay hands that recording to _quantiles, which reads
+it as it reads a walk, so every quantile is bit-identical. A sweep is
+recorded only when len(sweep) * n * atom_count * 8 bytes, a bound on its
+points known before any LP, is at most 4 MiB; larger sweeps stream and
+record nothing. A call reads the entry once, so a miss on another thread
+that drops it cannot break a replay under way. A miss drops the old
+entry and walks its sweep; the new entry is published only once the
+whole sweep has walked, so a sweep that raises leaves no entry.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -102,10 +107,10 @@ _DEGENERATE_RADIUS = 1e-12
 # (m = q plus the rule rows) stay near 2 MB, the kernel's projections on
 # the rule rows and its 64-step slices near 2 MB, and each of a sweep's
 # two normals buffers (one walking, one being drawn), sized once for its
-# largest group's (K, 512, q), near 4 MB. A group keeps (K, n) exception
-# rates, not its models. All 12 chains of an 8-name sweep in one group
-# (a cap of 3072) walked about 10% faster but peaked about 23 MB (24%)
-# higher, so the cap stays at 1024.
+# largest group's (K, 512, q), near 4 MB. A sweep keeps (points, n)
+# exception rates, not its models. All 12 chains of an 8-name sweep in one
+# group (a cap of 3072) walked about 10% faster but peaked about 23 MB
+# (24%) higher, so the cap stays at 1024.
 _LOCKSTEP_WIDTH = 1024
 # A sweep is recorded for replay when its points, bounded by
 # len(sweep) * n * atom_count * 8 bytes, fit in one lockstep group's
@@ -288,7 +293,8 @@ class _DrawAhead:
     It is made from the lockstep plan and each point's rows.shape, which
     are known before any LP, and it submits the first planned group's
     first chunk at once, so _sweep, which makes it before the LPs, has
-    that chunk drawn while they solve. walks then walks the groups, and each
+    that chunk drawn while they solve; it is used only if that group
+    walks whole. walks then walks the groups as one stream, and each
     chunk's draw is submitted when the chunk before it in walk order,
     across group boundaries, starts to walk: a group's first chunk is
     drawn while the group before it walks its last. The draws alternate
@@ -312,6 +318,7 @@ class _DrawAhead:
     ):
         self.helper = helper
         self.plan = plan
+        self.seeds = seeds
         self.widths = [shape[1] for shape in shapes]
         self.rngs = {i: np.random.default_rng(seeds[i]) for group in plan for i in group}
         size = max((len(group) * self.widths[group[0]] for group in plan), default=0)
@@ -333,37 +340,35 @@ class _DrawAhead:
 
     def _chunks(self, groups: list[list[int]], count: int) -> Iterator:
         """The (normals, uniforms) of count chunks of each group, in walk
-        order. groups is the plan less chains that left it after their LP,
-        so the first chunk drawn keeps only the rows of the chains left."""
+        order, each submitted as the one before it is handed out."""
         order = [group for group in groups for _ in range(count)]
-        first = self.plan[0] if self.plan else []
         drawn = self.drawn
-        for index, group in enumerate(order):
-            normals, uniforms = drawn.result()
+        for index in range(len(order)):
+            chunk = drawn.result()
             if index + 1 < len(order):
                 drawn = self._submit(index + 1, order[index + 1])
-            if len(normals) > len(group):
-                kept = np.isin(first, group)
-                normals, uniforms = normals[kept], uniforms[kept]
-            yield normals, uniforms
+            yield chunk
 
     def walks(self, spaces: list[_Walkspace], n: int, burn_in: int) -> Iterator:
-        """Each planned group, less its points that their LP found
-        single-point, with its lockstep walk over the solved spaces, as
-        (group, chunks); a group walks only once the one before it has
-        been read."""
+        """The lockstep walk of each planned group, less its points that
+        their LP found single-point, over the solved spaces, as one stream
+        of (group, stored, visited) chunks in walk order; visited is
+        _lockstep's view, so read it before asking for the next."""
         walked = (
             [i for i in group if spaces[i].radius > _DEGENERATE_RADIUS] for group in self.plan
         )
         groups = [group for group in walked if group]
-        if self.drawn is not None and not (groups and groups[0][0] in self.plan[0]):
-            # No chain of the first planned group walks: its chunk goes
-            # unused, and is awaited even when no group walks at all.
+        if self.drawn is not None and groups[:1] != self.plan[:1]:
+            # The first planned group does not walk whole: its chunk goes
+            # unused, awaited even when no group walks, and its generators
+            # restart, so the first group that walks draws afresh.
             self.drawn.result()
+            self.rngs.update((i, np.random.default_rng(self.seeds[i])) for i in self.plan[0])
             self.drawn = self._submit(0, groups[0]) if groups else None
         chunks = self._chunks(groups, len(range(-burn_in, n, _CHUNK)))
         for group in groups:
-            yield group, _lockstep([spaces[i] for i in group], chunks, n, burn_in)
+            for stored, visited in _lockstep([spaces[i] for i in group], chunks, n, burn_in):
+                yield group, stored, visited
 
 
 def _check_run(n: int, burn_in: int, seed: int) -> None:
@@ -398,9 +403,8 @@ def sample_uniform(
     points = np.zeros((n, system.dimension))
     with _sweep([system], [seed], n, burn_in) as ((space,), walks):
         points[:, space.keep] = space.center
-        for _, chunks in walks:
-            for stored, visited in chunks:
-                points[stored, space.keep] = visited[0]
+        for _, stored, visited in walks:
+            points[stored, space.keep] = visited[0]
     return UniformSample(points, degenerate=space.radius <= _DEGENERATE_RADIUS)
 
 
@@ -467,7 +471,8 @@ def _groups(shapes: list[tuple[int, int]]) -> list[list[int]]:
 def _sweep(systems: list[PolytopeSystem], seeds, n: int, burn_in: int):
     """Solve and walk a sweep of polytopes, one seed per system: the block
     gets (spaces, walks), each system's walk space in order and
-    _DrawAhead.walks over them.
+    _DrawAhead.walks over them, one stream of (group, stored, visited)
+    chunks in walk order.
 
     Each distinct system (the same arrays are the same LP) is reduced
     once, the lockstep groups are planned from the reduced shapes, and
@@ -494,39 +499,24 @@ def _sweep(systems: list[PolytopeSystem], seeds, n: int, burn_in: int):
         yield spaces, ahead.walks(spaces, n, burn_in)
 
 
-def _read_group(
-    chains: list[_Walkspace], chunks: Iterable, weights: np.ndarray, n: int, eta: float
-) -> list[float]:
-    """The quantile of each chain of one group's walk. Each chunk becomes
-    rates at once, read over each chain's own kept atoms, so the group
-    holds (K, n) rates and no models, and they are released on return,
-    before the next group walks."""
-    stacked = np.stack([weights[space.keep] for space in chains])
-    rates = np.empty((len(chains), n))
-    for stored, visited in chunks:
-        rates[:, stored] = _rates(np.matmul(visited, stacked))
-    return [empirical_quantile(chain_rates, eta) for chain_rates in rates]
-
-
 def _quantiles(
     spaces: list[_Walkspace], walks, query: Generalization, dimension: int, n: int, eta: float
 ) -> list[float]:
     """The (1 - eta)-quantile of 1 - pi(zeta|gamma) over each space's
-    models, in order. A single-point space gives the rate at its point,
-    the quantile of n copies of it. The others are read from walks, the
-    (group, chunks) pairs of _DrawAhead.walks or a recording of them."""
+    models, in order, from one (len(spaces), n) array of rates. Every row
+    starts as the rate at its space's center, all in one _rates call, and
+    walks, the (group, stored, visited) chunks of _DrawAhead.walks or a
+    recording of them, writes each walked chunk over its rows at once,
+    read over each chain's own kept atoms, so no model is kept. A
+    single-point space is never walked, so its row is n copies of the rate
+    at its point."""
     weights = _weights(query.antecedent, query.consequent, dimension)
-    quantiles = [
-        float(_rates(space.center @ weights[space.keep]))
-        if space.radius <= _DEGENERATE_RADIUS
-        else math.nan
-        for space in spaces
-    ]
-    for group, chunks in walks:
-        chains = [spaces[i] for i in group]
-        for i, quantile in zip(group, _read_group(chains, chunks, weights, n, eta)):
-            quantiles[i] = quantile
-    return quantiles
+    kept = [weights[space.keep] for space in spaces]
+    rates = np.empty((len(spaces), n))
+    rates[:] = _rates(np.array([space.center @ w for space, w in zip(spaces, kept)]))[:, None]
+    for group, stored, visited in walks:
+        rates[group, stored] = _rates(np.matmul(visited, np.stack([kept[i] for i in group])))
+    return [empirical_quantile(row, eta) for row in rates]
 
 
 def conclusion_quantile(
@@ -657,10 +647,7 @@ def scaling_verdict(
         try:
             with _sweep(systems, seeds.tolist(), n, burn_in) as (spaces, walks):
                 if len(sweep) * n * atoms * 8 <= _REPLAY_BYTES:
-                    walks = [
-                        (group, [(stored, visited.copy()) for stored, visited in chunks])
-                        for group, chunks in walks
-                    ]
+                    walks = [(group, stored, visited.copy()) for group, stored, visited in walks]
                     _last_sweep = (key, spaces, walks)
                 quantiles = _quantiles(spaces, walks, query, atoms, n, params.eta)
         except InfeasiblePolytopeError as err:

@@ -28,12 +28,13 @@ CASES = 40
 GRID = (0.1, 0.05, 0.025, 0.0125)
 
 
-def corpus_cases(count=CASES):
-    """The first count cases, as (kb, query at j = max)."""
+def corpus_cases(count=CASES, names=3):
+    """The first count cases over the given number of names, as (kb,
+    query at j = max)."""
     rng = np.random.default_rng(5)
     cases = []
     while len(cases) < count:
-        kb = random_kb(rng, min_names=3, max_names=3, max_rules=4, max_threshold=2)
+        kb = random_kb(rng, min_names=names, max_names=names, max_rules=4, max_threshold=2)
         profile = tg.compile_kb(kb)
         if kb.size == 0 or not profile.is_consistent():
             continue

@@ -187,12 +187,11 @@ def lockstep_points(systems, seeds, n, burn_in):
     end = 0
     with _sweep(systems, seeds, n, burn_in) as (spaces, walks):
         points = np.empty((len(spaces), n, spaces[0].rows.shape[1]))
-        for group, chunks in walks:
+        for group, stored, visited in walks:
             assert group == list(range(len(spaces)))
-            for stored, visited in chunks:
-                assert stored.start == end and visited.shape[:2] == (len(spaces), stored.stop - end)
-                points[:, stored] = visited
-                end = stored.stop
+            assert stored.start == end and visited.shape[:2] == (len(spaces), stored.stop - end)
+            points[:, stored] = visited
+            end = stored.stop
     assert end == n
     return points
 

@@ -134,8 +134,7 @@ def test_center_is_a_model(kb, delta):
 
         with mock.patch.object(sampling, "_walk", spy):
             with sampling._sweep([system], [0], 1, 0) as (_, walks):
-                for _, chunks in walks:
-                    next(chunks)
+                next(walks)
         (rows, rhs), q = seen[0], space.keep.size
         assert np.array_equal(rows, np.vstack([space.rows, -np.eye(q)]))
         assert np.array_equal(rhs, np.zeros(len(rows)))

@@ -427,8 +427,7 @@ class TestDrawAhead:
         # The sweep's block is left part-way through the walk.
         before = threading.active_count()
         with sampling._sweep([simple_system()[1]], [3], 5000, 0) as (_, walks):
-            _, chunks = next(walks)
-            next(chunks)
+            next(walks)
             assert threading.active_count() == before + 1
         assert threading.active_count() == before
 
@@ -539,48 +538,87 @@ class TestDrawAhead:
             expected = run_entry_point(entry, kb, params, query, 700, 100, 21)
         assert np.array_equal(result, expected)
 
+    SOME = "a => b @ 1\na => ~b @ 1\n"
+
     @pytest.mark.parametrize(
-        "text, psi, plan, walked",
+        "text, psi, width, plan, walked",
         [
             # Where psi * delta <= 0.5, a & b and a & ~b each hold at most
             # half of pi(a), so pi(a) = 0 and the point, on a face, is
             # found single-point by its LP. Here that is psi x1 and psi
             # x0.5: the first six points of the one planned group.
-            ("a => b @ 1\na => ~b @ 1\n", (0.45, 0.45), [list(range(9))], [[6, 7, 8]]),
+            (SOME, (0.45, 0.45), 1024, [list(range(9))], [[6, 7, 8]]),
             # The same six points, which c's row plans as a group of their
             # own: every chain of the first planned group leaves it.
             (
                 "a => b @ 1\na => ~b @ 1\nt => c @ 1\n",
                 (0.5, 0.5, 0.9),
+                1024,
                 [list(range(6)), [6, 7, 8]],
                 [[6, 7, 8]],
             ),
+            # Groups of two, and only the psi x0.5 points are single-point:
+            # the first group walks whole and later ones lose points.
+            (
+                SOME,
+                (0.9, 0.9),
+                8,
+                [[0, 1], [2, 3], [4, 5], [6, 7], [8]],
+                [[0, 1], [2], [6, 7], [8]],
+            ),
         ],
-        ids=["some", "all"],
+        ids=["some", "all", "later"],
     )
     def test_single_point_found_by_its_lp_leaves_its_group(
-        self, monkeypatch, text, psi, plan, walked
+        self, monkeypatch, text, psi, width, plan, walked
     ):
         planned, groups = [], []
         walks = sampling._DrawAhead.walks
 
         def spy(self, spaces, *args):
             planned.append(self.plan)
-            for group, chunks in walks(self, spaces, *args):
-                groups.append(group)
-                yield group, chunks
+            for group, stored, visited in walks(self, spaces, *args):
+                if groups[-1:] != [group]:
+                    groups.append(group)
+                yield group, stored, visited
 
         monkeypatch.setattr(sampling._DrawAhead, "walks", spy)
+        monkeypatch.setattr(sampling, "_LOCKSTEP_WIDTH", width)
         monkeypatch.setattr(sampling, "_last_sweep", None)
         kb = tg.load_kb(text)
         params = tg.ParameterAssignment(psi=psi, delta=0.9)
         query = tg.parse_query("t => a & b @ 1", kb.signature)
         grid = (0.9, 0.7, 0.6)
         # Burn-in ends in the first chunk and the walk in the second, so
-        # the trimmed first chunk and a chunk drawn after the LPs both walk.
+        # a first chunk drawn afresh and a chunk drawn after the LPs both
+        # walk.
         report = tg.scaling_verdict(kb, query, grid, params, n=700, seed=22, burn_in=100)
         assert planned == [plan]
         assert groups == walked
+        expected = per_point_quantiles(kb, query, grid, params, 700, 22, 100)
+        assert np.array_equal(report.quantiles, expected)
+
+    def test_a_first_group_that_loses_points_draws_afresh(self, monkeypatch):
+        # The "some" case: the chunk drawn for the nine planned chains
+        # while the LPs solve goes unused, and the three that walk draw
+        # their first chunk again, from generators restarted at their
+        # seeds, then their second.
+        draws = []
+        draw = sampling._draw
+
+        def spy(rngs, normals, uniforms):
+            draws.append(len(rngs))
+            return draw(rngs, normals, uniforms)
+
+        monkeypatch.setattr(sampling, "_last_sweep", None)
+        kb = tg.load_kb(self.SOME)
+        params = tg.ParameterAssignment(psi=(0.45, 0.45), delta=0.9)
+        query = tg.parse_query("t => a & b @ 1", kb.signature)
+        grid = (0.9, 0.7, 0.6)
+        with monkeypatch.context() as patched:
+            patched.setattr(sampling, "_draw", spy)
+            report = tg.scaling_verdict(kb, query, grid, params, n=700, seed=22, burn_in=100)
+        assert draws == [9, 3, 3]
         expected = per_point_quantiles(kb, query, grid, params, 700, 22, 100)
         assert np.array_equal(report.quantiles, expected)
 
@@ -1076,10 +1114,10 @@ class TestScalingVerdict:
     def test_verdict_holds_rates_not_models(self, monkeypatch):
         # 5 names walk in 32 coordinates, so the 9 grid chains walk as one
         # group. Their models at n = 20000 would take 46 MB held whole and
-        # 41 MB for 8 of them; the rates take 1.4 MB. The kernel is
-        # swapped for one that stays put: its own buffers are set by the
-        # width cap, not by n, and under tracemalloc the real one's
-        # 20000 steps take seconds.
+        # 41 MB for 8 of them; the rates, one (9, n) array for every grid
+        # point, take 1.4 MB. The kernel is swapped for one that stays
+        # put: its own buffers are set by the width cap, not by n, and
+        # under tracemalloc the real one's 20000 steps take seconds.
         def stay(rows, rhs, y, normals, uniforms, out):
             out[:] = y[:, None]
 
