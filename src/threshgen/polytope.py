@@ -25,9 +25,8 @@ either places the largest inscribed ball or proves the system empty.
 is_feasible asks that question, and threshgen.sampling starts its walk
 from the same center. The elimination and the LP are separate steps,
 _reduce and _solve, so a sweep of polytopes knows the shape of every
-walk before its first LP. The LP goes through the module's linprog, which
-imports SciPy on its first call, so importing this module loads NumPy
-but not SciPy.
+walk before its first LP. The LP is solved in NumPy by a primal-dual
+interior-point method, so the module needs no other library.
 
 Exact vectors over all 2**r atoms stop being reasonable well before the
 24-name cap of the symbolic side, so model-semantics operations cap the
@@ -47,18 +46,13 @@ from .logic import Signature
 MAX_MODEL_NAMES = 8
 
 FEASIBILITY_TOLERANCE = 1e-9
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, with SciPy imported on the first call.
-
-    Importing scipy.optimize takes about half a second, so it waits until
-    an LP is solved; building a polytope or checking a model needs none.
-    Every LP of the package goes through this name.
-    """
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
+# A polytope whose largest inscribed ball has at most this radius is a
+# single point: its center is its only model.
+_DEGENERATE_RADIUS = 1e-12
+# Interior-point iterations before a Chebyshev-center LP counts as failed.
+# The LPs of up to 4 names that the emptiness corpus draws take at most
+# about 15.
+_MAX_ITERATIONS = 50
 
 
 class NumericalError(RuntimeError):
@@ -179,44 +173,121 @@ def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
         pinned |= new
 
 
+def _step_length(values: np.ndarray, step: np.ndarray) -> float:
+    """The largest a <= 1 with values + a * step >= 0, for values > 0."""
+    falling = step < 0.0
+    return min(1.0, float(np.min(-values[falling] / step[falling], initial=np.inf)))
+
+
 def _chebyshev_center(rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Center and radius of the largest ball inside rows @ x <= 0 and
     x >= 0 on the plane sum(x) = 1, within which a row's norm is that of
-    row - mean(row). The LP takes x >= 0 as -I rows after the given ones."""
-    q = rows.shape[1]
-    rows = np.vstack([rows, -np.eye(q)])
+    row - mean(row); InfeasiblePolytopeError when the largest radius is
+    below -FEASIBILITY_TOLERANCE, which no model then comes within.
+
+    The LP maximizes the radius t, which may be negative, over rows @ x +
+    t * norms <= 0 and x >= unit * t, unit being the norm of every x >= 0
+    row. Writing x = s + unit * t turns the latter into bounds s >= 0, so
+    only the m rule rows, with slacks w, and sum(x) = 1 are equations,
+    and each step solves (m + 1)-row normal equations, at O(q * m**2) for
+    q atoms. The uniform point gives t a lower bound, start, so t = floor
+    + tau with tau >= 0 and floor below start. From a strictly feasible
+    primal and dual point, Mehrotra's predictor-corrector steps (Mehrotra,
+    SIAM J. Optim. 2, 1992) follow the central path, so the center is
+    one inside the optimal face rather than one of its vertices, and
+    permuting the atoms permutes it. Each step takes its primal direction
+    as a projection through the thin QR factor of the scaled equations,
+    which keeps the iterates on the equations where the normal equations
+    in product form do not.
+
+    Every iteration brackets the optimum: the radius of the current
+    point, measured from its slacks, is a lower bound, and the dual
+    objective an upper one. The solve stops once the bracket decides
+    emptiness, holds only single-point radii, or is narrow, and returns
+    the best point seen; a bracket still open after _MAX_ITERATIONS
+    raises NumericalError.
+    """
+    m, q = rows.shape
+    unit = math.sqrt(1.0 - 1.0 / q)
     norms = np.linalg.norm(rows - rows.mean(axis=1, keepdims=True), axis=1)
-    objective = np.zeros(q + 1)
-    objective[q] = -1.0
-    # Presolve is disabled: HiGHS's presolver can misdeclare thin systems
-    # (rows with delta**k coefficients near its drop tolerances, feasible
-    # only at a degenerate vertex) infeasible. The systems are small, so
-    # solving them outright is cheap and gives the reliable answer. The
-    # simplex solver also stops, rarely, with an unknown status (status 4)
-    # on small empty systems; the interior-point solver then decides. The
-    # bounds x >= 0 repeat the -I rows, which alone let HiGHS's scaling
-    # leave a degenerate center's zero coordinates at -1e-6.
-    for method in ("highs", "highs-ipm"):
-        result = linprog(
-            objective,
-            A_ub=np.hstack([rows, norms[:, None]]),
-            b_ub=np.zeros(len(rows)),
-            A_eq=np.append(np.ones(q), 0.0)[None],
-            b_eq=[1.0],
-            bounds=[(0, None)] * (q + 1),
-            method=method,
-            options={
-                "presolve": False,
-                "primal_feasibility_tolerance": FEASIBILITY_TOLERANCE,
-            },
-        )
-        if result.status != 4:
+    sums = rows.sum(axis=1)
+    start = min(1.0 / (q * unit), float(np.min(-sums / (q * norms), initial=np.inf)))
+    floor = start - 1.0 / q
+    slope = unit * sums + norms
+    # Variables (s, tau, w) and their equations.
+    equations = np.zeros((m + 1, q + 1 + m))
+    equations[:m, :q] = rows
+    equations[:m, q] = slope
+    equations[:m, q + 1 :] = np.eye(m)
+    equations[m, :q] = 1.0
+    equations[m, q] = q * unit
+    target = np.append(-slope * floor, 1.0 - q * unit * floor)
+    cost = np.zeros(q + 1 + m)
+    cost[q] = -1.0
+    # The uniform point at t = start - 1/(2q), and dual multipliers -1 on
+    # the rule rows with one on the sum row low enough for positive slacks.
+    t = start - 0.5 / q
+    primal = np.concatenate([np.full(q, 1.0 / q - unit * t), [t - floor], -sums / q - norms * t])
+    dual = np.append(
+        np.full(m, -1.0),
+        min(float(rows.sum(axis=0).min()), (slope.sum() - 1.0) / (q * unit)) - 1.0,
+    )
+    reduced = cost - equations.T @ dual
+    scales = np.append(norms, np.full(q, unit))
+    lower, upper, center = -math.inf, math.inf, None
+    for _ in range(_MAX_ITERATIONS):
+        point = primal[:q] + unit * (floor + primal[q])
+        point = point / point.sum()
+        radius = float(np.min(np.append(-(rows @ point), point) / scales))
+        if radius > lower:
+            lower, center = radius, point
+        upper = min(upper, floor - float(target @ dual))
+        if upper < -FEASIBILITY_TOLERANCE:
+            raise InfeasiblePolytopeError("polytope is empty")
+        if upper - lower <= 1e-9 * abs(lower) + 1e-14 or (
+            lower >= -FEASIBILITY_TOLERANCE and upper <= _DEGENERATE_RADIUS
+        ):
+            if lower < -FEASIBILITY_TOLERANCE:
+                raise InfeasiblePolytopeError("polytope is empty")
+            return center, max(0.0, lower)
+        primal_residual = equations @ primal - target
+        dual_residual = equations.T @ dual + reduced - cost
+        mu = primal @ reduced / primal.size
+        root = np.sqrt(primal / reduced)
+        if not np.all(np.isfinite(root)):
             break
-    if result.status == 2:
-        raise InfeasiblePolytopeError("polytope is empty")
-    if result.status != 0:
-        raise NumericalError(f"Chebyshev-center LP failed: {result.message}")
-    return result.x[:q], float(result.x[q])
+        basis, factor = np.linalg.qr((equations * root).T)
+        if not np.all(np.diagonal(factor)):
+            break
+        inverse = np.linalg.inv(factor)
+        shift = inverse.T @ primal_residual
+
+        def direction(product):
+            # The Newton step toward primal * reduced = product.
+            scaled = root * (dual_residual - product / primal)
+            coefficients = basis.T @ scaled + shift
+            step = -(inverse @ coefficients)
+            return (
+                root * (scaled - basis @ coefficients),
+                step,
+                -dual_residual - equations.T @ step,
+            )
+
+        d_primal, d_dual, d_reduced = direction(primal * reduced)
+        a_primal, a_dual = _step_length(primal, d_primal), _step_length(reduced, d_reduced)
+        predicted = (primal + a_primal * d_primal) @ (reduced + a_dual * d_reduced)
+        sigma = (predicted / primal.size / mu) ** 3
+        d_primal, d_dual, d_reduced = direction(
+            primal * reduced + d_primal * d_reduced - sigma * mu
+        )
+        a_primal = 0.99 * _step_length(primal, d_primal)
+        a_dual = 0.99 * _step_length(reduced, d_reduced)
+        primal = primal + a_primal * d_primal
+        dual = dual + a_dual * d_dual
+        reduced = reduced + a_dual * d_reduced
+    raise NumericalError(
+        f"Chebyshev-center LP failed: radius bracketed only to [{lower:.3g}, {upper:.3g}]"
+    )
 
 
 def _reduce(system: PolytopeSystem) -> tuple[np.ndarray, np.ndarray]:

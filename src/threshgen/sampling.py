@@ -12,10 +12,12 @@ across a grid of deltas supports or refutes j.
 
 Sampling walks the atoms threshgen.polytope keeps when it decides
 emptiness, in model coordinates and along directions that sum to zero,
-from that decision's Chebyshev center. If the polytope has radius zero the
-single (center) point is returned n times, flagged degenerate; width-zero
-polytopes with extent in some direction would collapse the same way, but
-only arise from exact parameter coincidences.
+from that decision's Chebyshev center. Where many balls of the largest
+radius fit, that center lies inside the face they form, so it does not
+depend on the order of the atoms. If the polytope's radius is at most
+_DEGENERATE_RADIUS, the single (center) point is returned n times,
+flagged degenerate; width-zero polytopes with extent in some direction
+collapse the same way.
 
 Polytopes become quantiles through one sweep, _sweep, for every entry
 point: sample_uniform and conclusion_quantile walk a one-point sweep and
@@ -75,6 +77,7 @@ import numpy as np
 from .depth import Depth, Generalization, KnowledgeBase
 from .logic import Proposition, SignatureError
 from .polytope import (
+    _DEGENERATE_RADIUS,
     InfeasiblePolytopeError,
     ParameterAssignment,
     PolytopeSystem,
@@ -101,7 +104,6 @@ _CHUNK = 512
 # Steps whose chords are cut at once: the (64, K, m) projections on every
 # row and the (2, 64, K, m) ends buffer are an eighth of a whole chunk's.
 _SLICE = 64
-_DEGENERATE_RADIUS = 1e-12
 # Coordinates walked in lockstep: a group of chains of dimension q holds
 # at most _LOCKSTEP_WIDTH // q of them, so its K (m, q) constraint rows
 # (m = q plus the rule rows) stay near 2 MB, the kernel's projections on
@@ -392,8 +394,8 @@ def sample_uniform(
     a given seed.
 
     Raises InfeasiblePolytopeError on an empty polytope. A polytope with
-    a single point (radius 0) yields that point n times with
-    degenerate=True.
+    a single point (radius at most _DEGENERATE_RADIUS) yields that point
+    n times with degenerate=True.
 
     The polytope is a one-point _sweep, so its first chunk is drawn while
     its LP solves. Every row starts at the center, which a single-point

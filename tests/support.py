@@ -219,6 +219,48 @@ def per_point_quantiles(kb, query, grid, params, n, seed, burn_in):
     return tuple(rows)
 
 
+def highs_chebyshev_center(rows):
+    """The Chebyshev center and radius of rows @ x <= 0, x >= 0 and
+    sum(x) = 1 by HiGHS, as threshgen.polytope found them before its
+    interior-point method: the reference for that method's emptiness
+    decisions. The radius is bounded below by 0, so an empty system
+    raises InfeasiblePolytopeError; a solver failure raises
+    NumericalError."""
+    q = rows.shape[1]
+    rows = np.vstack([rows, -np.eye(q)])
+    norms = np.linalg.norm(rows - rows.mean(axis=1, keepdims=True), axis=1)
+    objective = np.zeros(q + 1)
+    objective[q] = -1.0
+    # Presolve is disabled: HiGHS's presolver can misdeclare thin systems
+    # (rows with delta**k coefficients near its drop tolerances, feasible
+    # only at a degenerate vertex) infeasible. The simplex solver also
+    # stops, rarely, with an unknown status (status 4) on small empty
+    # systems; the interior-point solver then decides. The bounds x >= 0
+    # repeat the -I rows, which alone let HiGHS's scaling leave a
+    # degenerate center's zero coordinates at -1e-6.
+    for method in ("highs", "highs-ipm"):
+        result = linprog(
+            objective,
+            A_ub=np.hstack([rows, norms[:, None]]),
+            b_ub=np.zeros(len(rows)),
+            A_eq=np.append(np.ones(q), 0.0)[None],
+            b_eq=[1.0],
+            bounds=[(0, None)] * (q + 1),
+            method=method,
+            options={
+                "presolve": False,
+                "primal_feasibility_tolerance": tg.polytope.FEASIBILITY_TOLERANCE,
+            },
+        )
+        if result.status != 4:
+            break
+    if result.status == 2:
+        raise tg.InfeasiblePolytopeError("polytope is empty")
+    if result.status != 0:
+        raise tg.NumericalError(f"Chebyshev-center LP failed: {result.message}")
+    return result.x[:q], float(result.x[q])
+
+
 def _drop_last(rows, rhs):
     """rows @ x <= rhs over the kept atoms, rewritten over all of them but
     the last, which carries 1 - sum(others)."""

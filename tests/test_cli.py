@@ -8,7 +8,6 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -551,13 +550,16 @@ class TestValidate:
         assert message in captured.err
 
     def test_lp_failure_is_an_error(self, kb_file, capsys, monkeypatch):
+        # An interior-point solve allowed no iteration cannot converge.
         calls = []
+        solve = tg.polytope._chebyshev_center
 
-        def failing_linprog(*args, **kwargs):
-            calls.append(kwargs["method"])
-            return SimpleNamespace(status=1, message="Iteration limit reached.")
+        def spy(rows):
+            calls.append(rows.shape)
+            return solve(rows)
 
-        monkeypatch.setattr(tg.polytope, "linprog", failing_linprog)
+        monkeypatch.setattr(tg.polytope, "_chebyshev_center", spy)
+        monkeypatch.setattr(tg.polytope, "_MAX_ITERATIONS", 0)
         # A seed no other test samples with, so that no earlier sweep is
         # replayed in place of the LP.
         argv = ["--kb", kb_file, "--samples", "10", "--seed", "1009", "t => a | b @ 2"]
@@ -566,7 +568,8 @@ class TestValidate:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: Chebyshev-center LP failed")
-        assert calls == ["highs"]
+        assert len(captured.err.splitlines()) == 1
+        assert len(calls) == 1
 
     def test_infeasible_grid_point(self, tmp_path, capsys):
         path = tmp_path / "contradiction.rules"
@@ -664,6 +667,28 @@ for command in {self.SYMBOLIC!r}:
         )
         expected = ["import []"] + [f"{command[0]} 0 []" for command in self.SYMBOLIC]
         assert done.stdout.splitlines() == expected
+
+    def test_validate_loads_numpy_but_not_scipy(self, kb_file):
+        # The Chebyshev-center LPs are solved in NumPy, so a cold validate
+        # never imports SciPy, whose optimizer took about 0.5 s and 49 MB.
+        script = f"""
+import contextlib, io, sys
+from threshgen.cli import main
+argv = ["validate", "--kb", {kb_file!r}, "--samples", "300", "t => a | b @ 2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(argv)
+print(code, sorted({{name.split(".")[0] for name in sys.modules}} & {{"numpy", "scipy"}}))
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            check=True,
+        )
+        code, loaded = done.stdout.split(" ", 1)
+        assert code in {"0", "3", "4"}
+        assert loaded.strip() == "['numpy']"
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"

@@ -199,6 +199,70 @@ class TestFeasibility:
             tg.sample_uniform(system, 50, burn_in=10)
 
 
+class TestChebyshevCenter:
+    def feasible_systems(self, count):
+        """The first count systems at psi 1 and delta 0.2 with a model,
+        over random knowledge bases of up to 4 names."""
+        rng = np.random.default_rng(77)
+        systems = []
+        while len(systems) < count:
+            kb = random_kb(rng, max_names=4, max_rules=3, allow_infinite=True)
+            system = tg.build_polytope(kb, tg.ParameterAssignment((1.0,) * kb.size, 0.2))
+            if tg.is_feasible(system):
+                systems.append(system)
+        return systems
+
+    @staticmethod
+    def center(system):
+        space = _walkspace(system)
+        point = np.zeros(system.dimension)
+        point[space.keep] = space.center
+        return point, space.radius
+
+    def test_center_permutes_with_the_atoms(self):
+        # The 3rd and 12th of these have many optimal centers. A vertex
+        # solver picks one by the order of the atoms, at radius 4.3e-4 one
+        # with the free mass on atom 6 or on atom 9, and the walk stays near
+        # it; the center of the optimal face is one point, whatever the
+        # order. The solve stops near it, not at it, so the centers of two
+        # orders agree to about 1e-9, not to the last bit; the vertices
+        # differ by about 0.5.
+        systems = self.feasible_systems(12)
+        orders = np.random.default_rng(5)
+        for system in (systems[2], systems[11]):
+            center, radius = self.center(system)
+            assert radius > 1e-4
+            for _ in range(4):
+                order = orders.permutation(system.dimension)
+                permuted = tg.PolytopeSystem(system.signature, system.dimension, system.rows[:, order])
+                moved, moved_radius = self.center(permuted)
+                assert moved_radius == pytest.approx(radius, rel=1e-9)
+                assert np.abs(moved - center[order]).max() <= 1e-6
+
+    def test_center_is_inside_by_its_radius(self):
+        # The reported radius is that of the returned center, measured from
+        # its slacks, so the center is a model, strictly inside when the
+        # radius is positive.
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            kb = random_kb(rng, max_names=4, max_rules=4, allow_infinite=True)
+            for delta in (0.5, 0.1, 1e-3):
+                system = tg.build_polytope(kb, tg.ParameterAssignment((1.0,) * kb.size, delta))
+                try:
+                    center, radius = self.center(system)
+                except tg.InfeasiblePolytopeError:
+                    continue
+                assert tg.max_violation(system, center) <= 1e-9
+                assert radius >= 0.0
+
+    def test_non_convergence_is_a_numerical_error(self, monkeypatch):
+        kb = tg.KnowledgeBase(AB, (rule(AB, "true", "a", 1),))
+        system = tg.build_polytope(kb, tg.ParameterAssignment(psi=(1.0,), delta=0.1))
+        monkeypatch.setattr(tg.polytope, "_MAX_ITERATIONS", 2)
+        with pytest.raises(tg.NumericalError, match="Chebyshev-center LP failed"):
+            tg.is_feasible(system)
+
+
 def pinned_row_by_row(rows):
     """The pinning closure one row at a time, as the reference: a row with
     no live negative entry pins every live coordinate it touches

@@ -510,22 +510,22 @@ class TestDrawAhead:
         # first draw only after its LPs would wait out the timeout.
         started = threading.Event()
         waited = []
-        draw, solve = sampling._draw, polytope.linprog
+        draw, solve = sampling._draw, polytope._chebyshev_center
 
         def draw_spy(*args):
             started.set()
             return draw(*args)
 
-        def lp_spy(*args, **kwargs):
+        def lp_spy(rows):
             waited.append(started.wait(timeout=10))
-            return solve(*args, **kwargs)
+            return solve(rows)
 
         kb = two_rule_chain_kb()
         params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
         query = rule(AB, "true", "a | b", 2)
         with monkeypatch.context() as patched:
             patched.setattr(sampling, "_draw", draw_spy)
-            patched.setattr(polytope, "linprog", lp_spy)
+            patched.setattr(polytope, "_chebyshev_center", lp_spy)
             patched.setattr(sampling, "_last_sweep", None)
             result = run_entry_point(entry, kb, params, query, 700, 100, 21)
         assert waited and all(waited)
@@ -1160,10 +1160,10 @@ class TestScalingVerdict:
             assert tg.conclusion_quantile(kb, params, query, 20000) == rate
 
     def test_run_arguments_checked_before_any_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
+        def no_lp(rows):
             raise AssertionError("an LP ran before the arguments were checked")
 
-        monkeypatch.setattr(polytope, "linprog", no_lp)
+        monkeypatch.setattr(polytope, "_chebyshev_center", no_lp)
         kb = two_rule_chain_kb()
         params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
         query = rule(AB, "true", "a | b", 2)
@@ -1216,15 +1216,15 @@ class TestScalingVerdict:
 
 @pytest.fixture
 def lps(monkeypatch):
-    """The methods of every LP solved, in order."""
+    """The shape of the rows of every LP solved, in order."""
     calls = []
-    solve = polytope.linprog
+    solve = polytope._chebyshev_center
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return solve(*args, **kwargs)
+    def spy(rows):
+        calls.append(rows.shape)
+        return solve(rows)
 
-    monkeypatch.setattr(polytope, "linprog", spy)
+    monkeypatch.setattr(polytope, "_chebyshev_center", spy)
     return calls
 
 
