@@ -7,11 +7,11 @@ route samples probability models from the base's constraint polytope and
 checks how exception quantiles scale. Both live here, with a bridge to
 System-Z+ default rules and a command-line front end (``threshgen``).
 
-Only the numerical route uses NumPy and SciPy. Its modules, polytope and
-sampling, are imported on the first access to one of their names, so
-``import threshgen`` and the symbolic commands load neither library. The
-System-Z+ bridge, zplus, also loads on first use: query and depthmap
-never call it.
+Only the numerical route uses NumPy. Its modules, polytope and sampling,
+are imported on the first access to one of their names, so ``import
+threshgen`` and the symbolic commands do not load it. The System-Z+
+bridge, zplus, also loads on first use: query and depthmap never call
+it.
 
 Typical use:
 

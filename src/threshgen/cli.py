@@ -19,10 +19,10 @@ supports, and plain success for the other commands), 2 for inconsistent,
 3 for not entailed or refuted, 4 for inconclusive, 1 for any input error.
 
 Only validate imports the numerical route (threshgen.polytope and
-threshgen.sampling, hence NumPy and SciPy); the other commands are
-symbolic and never load either library, which would take longer to
-import than they take to answer. Likewise only zplus imports the
-System-Z+ bridge, threshgen.zplus, on first use.
+threshgen.sampling, hence NumPy); the other commands are symbolic and
+never load NumPy, which would take longer to import than they take to
+answer. Likewise only zplus imports the System-Z+ bridge,
+threshgen.zplus, on first use.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def cmd_validate(args):
     if "numpy" not in sys.modules:
         for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(variable, "1")
-    # The numerical route, and with it NumPy and SciPy, loads only here.
+    # The numerical route, and with it NumPy, loads only here.
     from .polytope import NumericalError, ParameterAssignment
     from .sampling import scaling_verdict
 

@@ -26,7 +26,12 @@ is_feasible asks that question, and threshgen.sampling starts its walk
 from the same center. The elimination and the LP are separate steps,
 _reduce and _solve, so a sweep of polytopes knows the shape of every
 walk before its first LP. The LP is solved in NumPy by a primal-dual
-interior-point method, so the module needs no other library.
+interior-point method, so the module needs no other library. _solve takes
+a list of reduced systems and solves the LPs of one reduced shape as one
+stack, whose members iterate in lockstep: a sweep pays NumPy's per-call
+cost once per step for each shape, not once per step for each LP, and
+is_feasible solves a stack of one. A member's center and radius do not
+depend on what else is in its stack.
 
 Exact vectors over all 2**r atoms stop being reasonable well before the
 24-name cap of the symbolic side, so model-semantics operations cap the
@@ -173,17 +178,43 @@ def _pinned_coordinates(system: PolytopeSystem) -> np.ndarray:
         pinned |= new
 
 
-def _step_length(values: np.ndarray, step: np.ndarray) -> float:
-    """The largest a <= 1 with values + a * step >= 0, for values > 0."""
-    falling = step < 0.0
-    return min(1.0, float(np.min(-values[falling] / step[falling], initial=np.inf)))
+def _least(first, second):
+    """Python's min(first, second) per member: second only where it is
+    smaller, so a NaN never wins."""
+    return np.where(second < first, second, first)
 
 
-def _chebyshev_center(rows: np.ndarray) -> tuple[np.ndarray, float]:
+def _step_lengths(values: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Per member, the largest a <= 1 with values + a * steps >= 0, for
+    values > 0."""
+    falling = steps < 0.0
+    # Only the falling ratios are computed, and only they are read.
+    ratios = np.divide(-values, steps, out=None, where=falling)
+    # fmin, as Python's min(1.0, ratio), takes 1.0 over a NaN ratio.
+    return np.fmin(ratios.min(axis=1, where=falling, initial=np.inf), 1.0)
+
+
+def _products(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Each member's matrix times its vector, (..., k, n) @ (..., n, 1),
+    so every member takes the BLAS matrix-vector routine that a lone
+    matrix @ vector takes."""
+    return np.matmul(matrices, vectors[..., None])[..., 0]
+
+
+def _dots(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Each member's dot product, (1, n) @ (n, 1), which takes the BLAS
+    routine that a lone vector @ vector takes."""
+    return np.matmul(first[:, None, :], second[:, :, None])[:, 0, 0]
+
+
+def _chebyshev_centers(stack: np.ndarray) -> list:
     """Center and radius of the largest ball inside rows @ x <= 0 and
     x >= 0 on the plane sum(x) = 1, within which a row's norm is that of
-    row - mean(row); InfeasiblePolytopeError when the largest radius is
-    below -FEASIBILITY_TOLERANCE, which no model then comes within.
+    row - mean(row), for each member rows of stack, an (L, m, q) array of
+    same-shape systems. A member's entry in the returned list is its
+    (center, radius) or the exception it raises: InfeasiblePolytopeError
+    when the largest radius is below -FEASIBILITY_TOLERANCE, which no
+    model then comes within, or NumericalError.
 
     The LP maximizes the radius t, which may be negative, over rows @ x +
     t * norms <= 0 and x >= unit * t, unit being the norm of every x >= 0
@@ -200,94 +231,153 @@ def _chebyshev_center(rows: np.ndarray) -> tuple[np.ndarray, float]:
     which keeps the iterates on the equations where the normal equations
     in product form do not.
 
-    Every iteration brackets the optimum: the radius of the current
+    Every iteration brackets each optimum: the radius of the current
     point, measured from its slacks, is a lower bound, and the dual
-    objective an upper one. The solve stops once the bracket decides
-    emptiness, holds only single-point radii, or is narrow, and returns
-    the best point seen; a bracket still open after _MAX_ITERATIONS
-    raises NumericalError.
+    objective an upper one. A member leaves the stack once its bracket
+    decides emptiness, holds only single-point radii, or is narrow, with
+    the best point it has seen; one whose bracket is still open after
+    _MAX_ITERATIONS, or whose step breaks down, gets NumericalError.
+
+    The members iterate in lockstep, each step one stacked NumPy call per
+    operation, so NumPy's per-call cost is paid once per step for the
+    whole stack. Each member does the arithmetic it would do in a stack
+    of one: products go through _products and _dots, Python's min through
+    _least, the bracket is tested on each member's Python floats, and
+    sigma's cube is taken member by member, as a NumPy scalar, since the
+    array power rounds differently. A member's entry is therefore the
+    same, bit for bit, in any stack.
     """
-    m, q = rows.shape
+    count, m, q = stack.shape
+    size = q + 1 + m
     unit = math.sqrt(1.0 - 1.0 / q)
-    norms = np.linalg.norm(rows - rows.mean(axis=1, keepdims=True), axis=1)
-    sums = rows.sum(axis=1)
-    start = min(1.0 / (q * unit), float(np.min(-sums / (q * norms), initial=np.inf)))
+    norms = np.linalg.norm(stack - stack.mean(axis=2, keepdims=True), axis=2)
+    sums = stack.sum(axis=2)
+    start = _least(1.0 / (q * unit), np.min(-sums / (q * norms), axis=1, initial=np.inf))
     floor = start - 1.0 / q
     slope = unit * sums + norms
     # Variables (s, tau, w) and their equations.
-    equations = np.zeros((m + 1, q + 1 + m))
-    equations[:m, :q] = rows
-    equations[:m, q] = slope
-    equations[:m, q + 1 :] = np.eye(m)
-    equations[m, :q] = 1.0
-    equations[m, q] = q * unit
-    target = np.append(-slope * floor, 1.0 - q * unit * floor)
-    cost = np.zeros(q + 1 + m)
+    equations = np.zeros((count, m + 1, size))
+    equations[:, :m, :q] = stack
+    equations[:, :m, q] = slope
+    equations[:, :m, q + 1 :] = np.eye(m)
+    equations[:, m, :q] = 1.0
+    equations[:, m, q] = q * unit
+    target = np.column_stack([-slope * floor[:, None], 1.0 - q * unit * floor])
+    cost = np.zeros(size)
     cost[q] = -1.0
     # The uniform point at t = start - 1/(2q), and dual multipliers -1 on
     # the rule rows with one on the sum row low enough for positive slacks.
     t = start - 0.5 / q
-    primal = np.concatenate([np.full(q, 1.0 / q - unit * t), [t - floor], -sums / q - norms * t])
-    dual = np.append(
-        np.full(m, -1.0),
-        min(float(rows.sum(axis=0).min()), (slope.sum() - 1.0) / (q * unit)) - 1.0,
+    primal = np.column_stack(
+        [
+            (1.0 / q - unit * t)[:, None].repeat(q, axis=1),
+            t - floor,
+            -sums / q - norms * t[:, None],
+        ]
     )
-    reduced = cost - equations.T @ dual
-    scales = np.append(norms, np.full(q, unit))
-    lower, upper, center = -math.inf, math.inf, None
+    bound = _least(stack.sum(axis=1).min(axis=1), (slope.sum(axis=1) - 1.0) / (q * unit))
+    dual = np.column_stack([np.full((count, m), -1.0), bound - 1.0])
+    reduced = cost - _products(equations.transpose(0, 2, 1), dual)
+    scales = np.column_stack([norms, np.full((count, q), unit)])
+    lower, upper = np.full(count, -math.inf), np.full(count, math.inf)
+    center = np.zeros((count, q))
+    members = np.arange(count)
+    outcomes: list = [None] * count
+
+    def leave(settled):
+        """Record each settled member's outcome, given as {row: outcome},
+        and drop the settled rows from every per-member array; the mask
+        of the rows kept."""
+        nonlocal members, stack, equations, target, floor, scales
+        nonlocal primal, dual, reduced, lower, upper, center
+        live = np.ones(len(members), dtype=bool)
+        for i, outcome in settled.items():
+            outcomes[members[i]] = outcome
+            live[i] = False
+        members, stack, equations, target, floor, scales = (
+            array[live] for array in (members, stack, equations, target, floor, scales)
+        )
+        primal, dual, reduced, lower, upper, center = (
+            array[live] for array in (primal, dual, reduced, lower, upper, center)
+        )
+        return live
+
+    def failures(broken):
+        """NumericalError, with its bracket, for each broken member."""
+        return {
+            i: NumericalError(
+                "Chebyshev-center LP failed: radius bracketed only to"
+                f" [{float(lower[i]):.3g}, {float(upper[i]):.3g}]"
+            )
+            for i in np.flatnonzero(broken)
+        }
+
     for _ in range(_MAX_ITERATIONS):
-        point = primal[:q] + unit * (floor + primal[q])
-        point = point / point.sum()
-        radius = float(np.min(np.append(-(rows @ point), point) / scales))
-        if radius > lower:
-            lower, center = radius, point
-        upper = min(upper, floor - float(target @ dual))
-        if upper < -FEASIBILITY_TOLERANCE:
-            raise InfeasiblePolytopeError("polytope is empty")
-        if upper - lower <= 1e-9 * abs(lower) + 1e-14 or (
-            lower >= -FEASIBILITY_TOLERANCE and upper <= _DEGENERATE_RADIUS
-        ):
-            if lower < -FEASIBILITY_TOLERANCE:
-                raise InfeasiblePolytopeError("polytope is empty")
-            return center, max(0.0, lower)
-        primal_residual = equations @ primal - target
-        dual_residual = equations.T @ dual + reduced - cost
-        mu = primal @ reduced / primal.size
+        if not members.size:
+            break
+        point = primal[:, :q] + (unit * (floor + primal[:, q]))[:, None]
+        point = point / point.sum(axis=1, keepdims=True)
+        radius = (np.concatenate([-_products(stack, point), point], axis=1) / scales).min(axis=1)
+        better = radius > lower
+        lower = np.where(better, radius, lower)
+        center = np.where(better[:, None], point, center)
+        upper = _least(upper, floor - _dots(target, dual))
+        settled = {}
+        for i, (low, high) in enumerate(zip(lower.tolist(), upper.tolist())):
+            if high < -FEASIBILITY_TOLERANCE:
+                settled[i] = InfeasiblePolytopeError("polytope is empty")
+            elif high - low <= 1e-9 * abs(low) + 1e-14 or (
+                low >= -FEASIBILITY_TOLERANCE and high <= _DEGENERATE_RADIUS
+            ):
+                if low < -FEASIBILITY_TOLERANCE:
+                    settled[i] = InfeasiblePolytopeError("polytope is empty")
+                else:
+                    settled[i] = center[i], max(0.0, low)
+        if settled:
+            leave(settled)
+        # A step breaks down on a non-finite scaling or a singular factor.
         root = np.sqrt(primal / reduced)
-        if not np.all(np.isfinite(root)):
-            break
-        basis, factor = np.linalg.qr((equations * root).T)
-        if not np.all(np.diagonal(factor)):
-            break
+        finite = np.isfinite(root).all(axis=1)
+        if not finite.all():
+            root = root[leave(failures(~finite))]
+        basis, factor = np.linalg.qr((equations * root[:, None, :]).transpose(0, 2, 1))
+        solvable = np.diagonal(factor, axis1=1, axis2=2).all(axis=1)
+        if not solvable.all():
+            live = leave(failures(~solvable))
+            root, basis, factor = root[live], basis[live], factor[live]
         inverse = np.linalg.inv(factor)
-        shift = inverse.T @ primal_residual
+        primal_residual = _products(equations, primal) - target
+        dual_residual = _products(equations.transpose(0, 2, 1), dual) + reduced - cost
+        mu = _dots(primal, reduced) / size
+        shift = _products(inverse.transpose(0, 2, 1), primal_residual)
 
         def direction(product):
             # The Newton step toward primal * reduced = product.
             scaled = root * (dual_residual - product / primal)
-            coefficients = basis.T @ scaled + shift
-            step = -(inverse @ coefficients)
+            coefficients = _products(basis.transpose(0, 2, 1), scaled) + shift
+            step = -_products(inverse, coefficients)
             return (
-                root * (scaled - basis @ coefficients),
+                root * (scaled - _products(basis, coefficients)),
                 step,
-                -dual_residual - equations.T @ step,
+                -dual_residual - _products(equations.transpose(0, 2, 1), step),
             )
 
         d_primal, d_dual, d_reduced = direction(primal * reduced)
-        a_primal, a_dual = _step_length(primal, d_primal), _step_length(reduced, d_reduced)
-        predicted = (primal + a_primal * d_primal) @ (reduced + a_dual * d_reduced)
-        sigma = (predicted / primal.size / mu) ** 3
-        d_primal, d_dual, d_reduced = direction(
-            primal * reduced + d_primal * d_reduced - sigma * mu
+        a_primal, a_dual = _step_lengths(primal, d_primal), _step_lengths(reduced, d_reduced)
+        predicted = _dots(
+            primal + a_primal[:, None] * d_primal, reduced + a_dual[:, None] * d_reduced
         )
-        a_primal = 0.99 * _step_length(primal, d_primal)
-        a_dual = 0.99 * _step_length(reduced, d_reduced)
-        primal = primal + a_primal * d_primal
-        dual = dual + a_dual * d_dual
-        reduced = reduced + a_dual * d_reduced
-    raise NumericalError(
-        f"Chebyshev-center LP failed: radius bracketed only to [{lower:.3g}, {upper:.3g}]"
-    )
+        sigma = np.array([(p / size / u) ** 3 for p, u in zip(predicted, mu)])
+        d_primal, d_dual, d_reduced = direction(
+            primal * reduced + d_primal * d_reduced - (sigma * mu)[:, None]
+        )
+        a_primal = 0.99 * _step_lengths(primal, d_primal)
+        a_dual = 0.99 * _step_lengths(reduced, d_reduced)
+        primal = primal + a_primal[:, None] * d_primal
+        dual = dual + a_dual[:, None] * d_dual
+        reduced = reduced + a_dual[:, None] * d_reduced
+    leave(failures(np.ones(members.size, dtype=bool)))
+    return outcomes
 
 
 def _reduce(system: PolytopeSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -302,28 +392,44 @@ def _reduce(system: PolytopeSystem) -> tuple[np.ndarray, np.ndarray]:
     return keep, kept[(kept > 0.0).any(axis=1)]
 
 
-def _solve(keep: np.ndarray, rows: np.ndarray) -> _Walkspace:
-    """The walk space of a reduced system, with its Chebyshev center,
-    raising InfeasiblePolytopeError when no model satisfies every
-    constraint."""
-    if keep.size == 0:
-        raise InfeasiblePolytopeError(
-            "every coordinate is forced to zero, so no model normalizes"
-        )
-    if keep.size == 1:
-        # One free coordinate carrying all mass; no row cuts it, so the
-        # polytope is that single point.
-        center, radius = np.ones(1), 0.0
-    else:
-        center, radius = _chebyshev_center(rows)
-    return _Walkspace(keep, rows, center, radius)
+def _solve(reduced: list[tuple[np.ndarray, np.ndarray]]) -> list[_Walkspace]:
+    """The walk spaces of a list of reduced systems, (keep, rows) as
+    _reduce gives them, with their Chebyshev centers. The LPs of one
+    reduced shape are solved as one stack. The first system in order that
+    has no model, or whose LP fails, raises its InfeasiblePolytopeError
+    or NumericalError, with its position in the list as the error's
+    index."""
+    outcomes: list = [None] * len(reduced)
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for index, (keep, rows) in enumerate(reduced):
+        if keep.size == 0:
+            outcomes[index] = InfeasiblePolytopeError(
+                "every coordinate is forced to zero, so no model normalizes"
+            )
+        elif keep.size == 1:
+            # One free coordinate carrying all mass; no row cuts it, so the
+            # polytope is that single point.
+            outcomes[index] = np.ones(1), 0.0
+        else:
+            stacks.setdefault(rows.shape, []).append(index)
+    for indices in stacks.values():
+        solved = _chebyshev_centers(np.stack([reduced[index][1] for index in indices]))
+        for index, outcome in zip(indices, solved):
+            outcomes[index] = outcome
+    spaces = []
+    for index, ((keep, rows), outcome) in enumerate(zip(reduced, outcomes)):
+        if isinstance(outcome, Exception):
+            outcome.index = index
+            raise outcome
+        spaces.append(_Walkspace(keep, rows, *outcome))
+    return spaces
 
 
 def _walkspace(system: PolytopeSystem) -> _Walkspace:
     """Restrict the system to its kept atoms and find its Chebyshev
     center, raising InfeasiblePolytopeError when no model satisfies every
     constraint."""
-    return _solve(*_reduce(system))
+    return _solve([_reduce(system)])[0]
 
 
 def is_feasible(system: PolytopeSystem) -> bool:

@@ -26,7 +26,9 @@ scaling_verdict a grid of them. _sweep reduces each distinct polytope
 together from the reduced shapes alone. It starts the sweep's one helper
 thread, which draws the walk's random numbers one chunk ahead, in walk
 order across groups, and then solves the LPs on the calling thread while
-the first chunk is drawn, so an empty point raises before any walk.
+the first chunk is drawn, in one threshgen.polytope._solve call that
+solves the LPs of each reduced shape as one stack, so an empty point
+raises before any walk.
 _DrawAhead.walks walks each group in lockstep and hands the whole sweep
 over as one stream of (group, stored, visited) chunks, with each group's
 first chunk drawn while the group before it walks its last. _quantiles
@@ -79,6 +81,7 @@ from .logic import Proposition, SignatureError
 from .polytope import (
     _DEGENERATE_RADIUS,
     InfeasiblePolytopeError,
+    NumericalError,
     ParameterAssignment,
     PolytopeSystem,
     _Walkspace,
@@ -479,24 +482,23 @@ def _sweep(systems: list[PolytopeSystem], seeds, n: int, burn_in: int):
     Each distinct system (the same arrays are the same LP) is reduced
     once, the lockstep groups are planned from the reduced shapes, and
     the sweep's helper thread starts drawing the first chunk before the
-    LPs, which solve in order on the calling thread. The first empty
-    system in order raises InfeasiblePolytopeError, with its position in
-    systems as the error's index, before any walk. The helper ends when
-    the block exits, on error too, once its pending draw is done.
+    LPs, which one _solve call solves on the calling thread, one stack
+    per reduced shape. The first system in order that is empty, or whose
+    LP fails, raises its InfeasiblePolytopeError or NumericalError, with
+    its position in systems as the error's index, before any walk. The
+    helper ends when the block exits, on error too, once its pending
+    draw is done.
     """
     arrays = [(system.rows.shape, system.rows.tobytes()) for system in systems]
     reduced = {key: _reduce(system) for key, system in dict(zip(arrays, systems)).items()}
     shapes = [reduced[key][1].shape for key in arrays]
     with ThreadPoolExecutor(max_workers=1) as helper:
         ahead = _DrawAhead(helper, _groups(shapes), shapes, seeds)
-        solved: dict[tuple, _Walkspace] = {}
-        for index, key in enumerate(arrays):
-            if key not in solved:
-                try:
-                    solved[key] = _solve(*reduced[key])
-                except InfeasiblePolytopeError as err:
-                    err.index = index
-                    raise
+        try:
+            solved = dict(zip(reduced, _solve(list(reduced.values()))))
+        except (InfeasiblePolytopeError, NumericalError) as err:
+            err.index = arrays.index(list(reduced)[err.index])
+            raise
         spaces = [solved[key] for key in arrays]
         yield spaces, ahead.walks(spaces, n, burn_in)
 

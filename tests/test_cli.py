@@ -551,14 +551,14 @@ class TestValidate:
 
     def test_lp_failure_is_an_error(self, kb_file, capsys, monkeypatch):
         # An interior-point solve allowed no iteration cannot converge.
-        calls = []
-        solve = tg.polytope._chebyshev_center
+        stacks = []
+        solve = tg.polytope._chebyshev_centers
 
-        def spy(rows):
-            calls.append(rows.shape)
-            return solve(rows)
+        def spy(stack):
+            stacks.append(len(stack))
+            return solve(stack)
 
-        monkeypatch.setattr(tg.polytope, "_chebyshev_center", spy)
+        monkeypatch.setattr(tg.polytope, "_chebyshev_centers", spy)
         monkeypatch.setattr(tg.polytope, "_MAX_ITERATIONS", 0)
         # A seed no other test samples with, so that no earlier sweep is
         # replayed in place of the LP.
@@ -569,7 +569,10 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("error: Chebyshev-center LP failed")
         assert len(captured.err.splitlines()) == 1
-        assert len(calls) == 1
+        # The sweep's 6 distinct polytopes (psi * delta takes 6 values on
+        # the halving grid) share one reduced shape, so one stack solves
+        # them all; every one fails, and only the first is reported.
+        assert stacks == [6]
 
     def test_infeasible_grid_point(self, tmp_path, capsys):
         path = tmp_path / "contradiction.rules"

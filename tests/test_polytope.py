@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 import threshgen as tg
+from emptiness_corpus import DELTAS, PSI
 from support import random_kb
-from threshgen.polytope import _pinned_coordinates, _walkspace, _Walkspace
+from threshgen import polytope
+from threshgen.polytope import (
+    _chebyshev_centers,
+    _pinned_coordinates,
+    _reduce,
+    _solve,
+    _walkspace,
+    _Walkspace,
+)
 
 A1 = tg.Signature(("a",))
 AB = tg.Signature(("a", "b"))
@@ -261,6 +270,106 @@ class TestChebyshevCenter:
         monkeypatch.setattr(tg.polytope, "_MAX_ITERATIONS", 2)
         with pytest.raises(tg.NumericalError, match="Chebyshev-center LP failed"):
             tg.is_feasible(system)
+
+
+class TestStackedSolve:
+    # _chebyshev_centers solves a stack of same-shape LPs in lockstep, and
+    # _solve stacks a list of reduced systems by shape. Each member must
+    # come out as it does in a stack of one, bit for bit, whatever else
+    # shares its stack.
+
+    @staticmethod
+    def outcome(entry):
+        if isinstance(entry, Exception):
+            return type(entry)
+        center, radius = entry
+        return center.tobytes(), radius.hex()
+
+    @staticmethod
+    def kind(entry):
+        if isinstance(entry, Exception):
+            return "empty"
+        return "point" if entry[1] == 0.0 else "open"
+
+    @staticmethod
+    def corpus_stacks(kbs):
+        """The distinct reduced LPs of the first kbs knowledge bases of
+        the emptiness corpus's seed 7, one stack per reduced shape."""
+        rng = np.random.default_rng(7)
+        shapes = {}
+        for _ in range(kbs):
+            kb = random_kb(rng, max_names=4, max_rules=4, allow_infinite=True)
+            for scale in PSI:
+                for delta in DELTAS:
+                    params = tg.ParameterAssignment(psi=(scale,) * kb.size, delta=delta)
+                    keep, rows = _reduce(tg.build_polytope(kb, params))
+                    if keep.size > 1:
+                        shapes.setdefault(rows.shape, {})[rows.tobytes()] = rows
+        return [np.stack(list(distinct.values())) for distinct in shapes.values()]
+
+    def test_members_equal_stacks_of_one(self):
+        # Up to 4 members of each kind per stack are solved alone. The
+        # 2-row, 3-atom stack holds empty, single-point and open members.
+        mixed = compared = 0
+        for stack in self.corpus_stacks(200):
+            entries = _chebyshev_centers(stack)
+            kinds = [self.kind(entry) for entry in entries]
+            mixed += len(set(kinds)) == 3
+            for kind in set(kinds):
+                for i in [i for i, k in enumerate(kinds) if k == kind][:4]:
+                    (alone,) = _chebyshev_centers(stack[i : i + 1])
+                    assert self.outcome(entries[i]) == self.outcome(alone)
+                    compared += 1
+        assert mixed and compared > 100
+
+    def test_no_iteration_fails_every_member(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_MAX_ITERATIONS", 0)
+        stack = max(self.corpus_stacks(20), key=len)
+        entries = _chebyshev_centers(stack)
+        assert len(entries) == len(stack) > 1
+        for entry in entries:
+            assert isinstance(entry, tg.NumericalError)
+            assert str(entry).startswith("Chebyshev-center LP failed")
+
+    def test_first_failure_in_list_order_raises(self, monkeypatch):
+        def reduced(text, delta, names=("a",)):
+            kb = tg.load_kb(text, names)
+            params = tg.ParameterAssignment(psi=(1.0,) * kb.size, delta=delta)
+            return _reduce(tg.build_polytope(kb, params))
+
+        # Two rows over two atoms, nonempty at delta 0.6 and empty at 0.3
+        # by its LP; every atom pinned; one atom left, a single point; and
+        # one row over four atoms, whose LP is made to fail.
+        both = "t => a @ 1\nt => ~a @ 1\n"
+        open_, empty = reduced(both, 0.6), reduced(both, 0.3)
+        pinned = reduced("t => a @ inf\nt => ~a @ inf\n", 0.5)
+        point = reduced("t => a @ inf\n", 0.5)
+        failing = reduced("t => a @ 1\n", 0.1, ("a", "b"))
+        assert (pinned[0].size, point[0].size, failing[1].shape) == (0, 1, (1, 4))
+        solve = polytope._chebyshev_centers
+
+        def fail_wide(stack):
+            if stack.shape[1:] == (1, 4):
+                return [tg.NumericalError("Chebyshev-center LP failed")] * len(stack)
+            return solve(stack)
+
+        monkeypatch.setattr(polytope, "_chebyshev_centers", fail_wide)
+        spaces = _solve([open_, point])
+        assert spaces[0].radius > 0.0
+        assert (spaces[1].center.tolist(), spaces[1].radius) == ([1.0], 0.0)
+        # The stack of open_ and empty is solved before failing's, but the
+        # list order decides which error is raised.
+        cases = [
+            ([open_, empty, pinned], tg.InfeasiblePolytopeError, 1, "polytope is empty"),
+            ([open_, pinned, empty], tg.InfeasiblePolytopeError, 1, "forced to zero"),
+            ([open_, failing, empty], tg.NumericalError, 1, "LP failed"),
+            ([open_, empty, failing], tg.InfeasiblePolytopeError, 1, "polytope is empty"),
+            ([point, pinned, failing], tg.InfeasiblePolytopeError, 1, "forced to zero"),
+        ]
+        for systems, error, index, message in cases:
+            with pytest.raises(error, match=message) as raised:
+                _solve(systems)
+            assert raised.value.index == index
 
 
 def pinned_row_by_row(rows):

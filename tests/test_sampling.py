@@ -510,22 +510,22 @@ class TestDrawAhead:
         # first draw only after its LPs would wait out the timeout.
         started = threading.Event()
         waited = []
-        draw, solve = sampling._draw, polytope._chebyshev_center
+        draw, solve = sampling._draw, polytope._chebyshev_centers
 
         def draw_spy(*args):
             started.set()
             return draw(*args)
 
-        def lp_spy(rows):
+        def lp_spy(stack):
             waited.append(started.wait(timeout=10))
-            return solve(rows)
+            return solve(stack)
 
         kb = two_rule_chain_kb()
         params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
         query = rule(AB, "true", "a | b", 2)
         with monkeypatch.context() as patched:
             patched.setattr(sampling, "_draw", draw_spy)
-            patched.setattr(polytope, "_chebyshev_center", lp_spy)
+            patched.setattr(polytope, "_chebyshev_centers", lp_spy)
             patched.setattr(sampling, "_last_sweep", None)
             result = run_entry_point(entry, kb, params, query, 700, 100, 21)
         assert waited and all(waited)
@@ -676,7 +676,7 @@ class TestSweep:
                 for delta in (0.5, 0.2, 0.05)
             ]
             seeds = list(range(len(systems)))
-            # Each distinct system solved alone, in order, with its LPs.
+            # Each distinct system solved alone, with its LPs.
             alone, solves = {}, {}
             for system in systems:
                 if self.arrays(system) not in alone:
@@ -697,9 +697,9 @@ class TestSweep:
             else:
                 with sampling._sweep(systems, seeds, 1, 0):
                     pass
-            # Each distinct system's LPs, once, up to the first empty one.
-            solved = dict.fromkeys(map(self.arrays, systems[: first + 1]))
-            assert len(lps) == sum(solves[key] for key in solved)
+            # Each distinct system's LP, once, past the first empty one too:
+            # a stack solves every distinct member of its shape.
+            assert len(lps) == sum(solves.values())
             emptied += first < len(systems)
             duplicated += len(alone) < len(systems)
             kept = [system for system, gone in zip(systems, empty) if not gone]
@@ -1160,10 +1160,10 @@ class TestScalingVerdict:
             assert tg.conclusion_quantile(kb, params, query, 20000) == rate
 
     def test_run_arguments_checked_before_any_lp(self, monkeypatch):
-        def no_lp(rows):
+        def no_lp(stack):
             raise AssertionError("an LP ran before the arguments were checked")
 
-        monkeypatch.setattr(polytope, "_chebyshev_center", no_lp)
+        monkeypatch.setattr(polytope, "_chebyshev_centers", no_lp)
         kb = two_rule_chain_kb()
         params = tg.ParameterAssignment(psi=(1.0, 1.0), delta=0.1)
         query = rule(AB, "true", "a | b", 2)
@@ -1216,15 +1216,16 @@ class TestScalingVerdict:
 
 @pytest.fixture
 def lps(monkeypatch):
-    """The shape of the rows of every LP solved, in order."""
+    """The shape of the rows of every LP solved, in order: one entry per
+    member of each stack solved."""
     calls = []
-    solve = polytope._chebyshev_center
+    solve = polytope._chebyshev_centers
 
-    def spy(rows):
-        calls.append(rows.shape)
-        return solve(rows)
+    def spy(stack):
+        calls.extend([stack.shape[1:]] * len(stack))
+        return solve(stack)
 
-    monkeypatch.setattr(polytope, "_chebyshev_center", spy)
+    monkeypatch.setattr(polytope, "_chebyshev_centers", spy)
     return calls
 
 
